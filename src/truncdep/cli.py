@@ -43,7 +43,7 @@ from .inference import (
     wald_interior_test_fgm,
 )
 from .montecarlo import McSummary, ScenarioSpec, power_curve, run_scenario
-from .sampling import TruncatedSample, simulate_truncated
+from .sampling import TruncatedSample, _in_region, simulate_truncated
 from .selection import alpha
 
 __all__ = ["main"]
@@ -146,7 +146,8 @@ def _read_sample(path: str, design: StudyDesign) -> TruncatedSample:
     """Parse an x,t CSV, validating every row against the observable region.
 
     Line numbers in error messages are 1-based physical lines with the
-    header on line 1.
+    header on line 1.  All rows are parsed before any is checked against D,
+    so a malformed row is reported ahead of an earlier out-of-region one.
     """
     try:
         handle = open(path, "r", encoding="utf-8", newline="")
@@ -165,25 +166,23 @@ def _read_sample(path: str, design: StudyDesign) -> TruncatedSample:
             if len(row) != 2:
                 raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
             try:
-                x, t = float(row[0]), float(row[1])
+                xs.append(float(row[0]))
+                ts.append(float(row[1]))
             except ValueError as exc:
                 raise DataError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
-            if not (math.isfinite(x) and math.isfinite(t)):
-                raise DataError(f"{path}:{lineno}: non-finite value")
-            if not 0.0 < t < design.big_g:
-                raise DataError(
-                    f"{path}:{lineno}: t={t!r} outside (0, {design.big_g})"
-                )
-            if not t <= x <= t + design.s:
-                raise DataError(
-                    f"{path}:{lineno}: x={x!r} outside [t, t+s] = "
-                    f"[{t!r}, {t + design.s!r}]"
-                )
-            xs.append(x)
-            ts.append(t)
     if not xs:
         raise DataError(f"{path}: no observations after the header")
-    return TruncatedSample.from_arrays(np.array(xs), np.array(ts), design)
+    x, t = np.array(xs), np.array(ts)
+    outside = np.flatnonzero(~_in_region(x, t, design))
+    if outside.size:
+        i = int(outside[0])
+        at, xi, ti = f"{path}:{i + 2}", xs[i], ts[i]
+        if not (math.isfinite(xi) and math.isfinite(ti)):
+            raise DataError(f"{at}: non-finite value")
+        if not 0.0 < ti < design.big_g:
+            raise DataError(f"{at}: t={ti!r} outside (0, {design.big_g})")
+        raise DataError(f"{at}: x={xi!r} outside [t, t+s] = [{ti!r}, {ti + design.s!r}]")
+    return TruncatedSample.from_arrays(x, t, design)
 
 
 def _load_scenarios(args: argparse.Namespace) -> list[ScenarioSpec]:
@@ -376,11 +375,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     design = StudyDesign(big_g=args.big_g, s=args.s)
     rng = np.random.default_rng(args.seed)
     sample = simulate_truncated(params, design, args.n, rng)
-    lines = ["x,t"]
-    lines.extend(
-        f"{o.x_tilde!r},{o.t_tilde!r}" for o in sample.observations
-    )
-    _write_text("\n".join(lines) + "\n", args.out)
+    rows = zip(sample.x_arr.tolist(), sample.t_arr.tolist())
+    _write_text("x,t\n" + "".join(f"{x!r},{t!r}\n" for x, t in rows), args.out)
     print(f"M={sample.m} M/n={sample.m / args.n!r}", file=sys.stderr)
     return 0
 

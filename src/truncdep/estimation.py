@@ -18,6 +18,7 @@ which is the estimator under independent truncation.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass, replace
 
@@ -108,21 +109,36 @@ def _objective_factory(
     return neg_lp
 
 
-def _run_starts(neg_lp, starts, bounds, options: FitOptions, m: int):
-    best = None
-    for z0 in starts:
-        res = minimize(
-            neg_lp,
-            np.asarray(z0, dtype=float),
-            jac=True,
-            method="L-BFGS-B",
-            bounds=bounds,
+# L-BFGS-B's LAPACK triangular solves hand even 2x2 systems to the OpenBLAS
+# thread pool it links, whose worker then spins beside the caller.  ``_lbfgsb``
+# keeps them on the calling thread; with another BLAS this is a no-op.
+try:
+    from scipy.optimize import _lbfgsb as _lbfgsb_ext
+
+    _set_blas_threads = ctypes.CDLL(_lbfgsb_ext.__file__).openblas_set_num_threads_local
+except (ImportError, OSError, AttributeError):
+    _set_blas_threads = int
+
+
+def _lbfgsb(neg_lp, z0: np.ndarray, bounds, options: FitOptions, m: int):
+    saved = _set_blas_threads(1)
+    try:
+        return minimize(
+            neg_lp, z0, jac=True, method="L-BFGS-B", bounds=bounds,
             options={
                 "maxiter": options.max_iter,
                 "ftol": 1e-15,
                 "gtol": options.gtol_scale * max(m, 1),
             },
         )
+    finally:
+        _set_blas_threads(saved)
+
+
+def _run_starts(neg_lp, starts, bounds, options: FitOptions, m: int):
+    best = None
+    for z0 in starts:
+        res = _lbfgsb(neg_lp, np.asarray(z0, dtype=float), bounds, options, m)
         cand = (float(res.fun), res.x.copy(), int(res.nit), bool(res.success))
         if best is None:
             best = cand
@@ -138,18 +154,7 @@ def _run_starts(neg_lp, starts, bounds, options: FitOptions, m: int):
     # at all, which certifies the vanishing-step convergence criterion:
     # the tie rule may select a start that stopped on the
     # relative-decrease test with gradient between the two tolerances.
-    res = minimize(
-        neg_lp,
-        best[1],
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={
-            "maxiter": options.max_iter,
-            "ftol": 1e-15,
-            "gtol": options.gtol_scale * max(m, 1),
-        },
-    )
+    res = _lbfgsb(neg_lp, best[1], bounds, options, m)
     step_vanished = float(np.max(np.abs(res.x - best[1]))) <= options.step_tol
     success = bool(res.success) or best[3]
     return (float(res.fun), res.x.copy(), best[2] + int(res.nit), success, step_vanished)

@@ -96,7 +96,8 @@ def wald_boundary_test(
 
     ``fit`` is the unrestricted fit supplying vt_hat and n_hat; the
     vartheta variance comes from the information estimated at the
-    restricted estimator, which this function computes from ``sample``.
+    restricted estimator: a boundary fit's own ``info_hat``, since its
+    theta_hat is the restricted estimator, or else ``fit_restricted``'s.
     Levels must lie in (0, 0.5): the null already places probability 0.5
     on the boundary outcome, so larger levels are meaningless.
     """
@@ -104,8 +105,11 @@ def wald_boundary_test(
         raise DomainError("boundary test applies to the Gumbel-Barnett family only")
     if not 0.0 < level < 0.5:
         raise DomainError(f"level={level!r} outside (0, 0.5)")
-    restricted = fit_restricted(sample, CopulaFamily.GUMBEL_BARNETT)
-    info0 = fisher_info_hat(restricted.params_hat, sample)
+    if fit.at_boundary:
+        info0 = fit.info_hat
+    else:
+        restricted = fit_restricted(sample, CopulaFamily.GUMBEL_BARNETT)
+        info0 = fisher_info_hat(restricted.params_hat, sample)
     sigma = _sigma_from_info(info0)
     vt_hat = fit.params_hat.vartheta
     if vt_hat == 0.0:

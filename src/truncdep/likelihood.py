@@ -24,7 +24,7 @@ import numpy as np
 
 from .copula import CopulaFamily, ModelParams, StudyDesign
 from .errors import DomainError, InvariantError
-from .sampling import LatentPair, ObservedPair, TruncatedSample
+from .sampling import LatentPair, ObservedPair, TruncatedSample, _in_region
 from .selection import _alpha_and_grad, alpha
 
 __all__ = [
@@ -168,9 +168,9 @@ def profile_score(
     interval (0, G) in t.
     """
     x, t = _pair_xt(pair)
-    if not (0.0 < t < design.big_g and t <= x <= t + design.s):
+    xa, ta = np.array([x], dtype=float), np.array([t], dtype=float)
+    if not _in_region(xa, ta, design)[0]:
         return ProfileScore(0.0, 0.0)
-    xa, ta = np.asarray([x]), np.asarray([t])
     _, g1, g2 = _obs_terms(
         params.family, params.theta, params.vartheta, design.big_g, xa, ta,
         want_logf=False,

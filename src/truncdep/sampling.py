@@ -3,8 +3,9 @@
 Latent pairs (X, T) are generated by conditional inversion: with U, V'
 independent Unif(0,1), set V = (c_u)^{-1}(V') at u = U, then
 X = -log(1-U)/theta and T = G*V.  A pair is observed only when it falls
-in the truncation region D = {0 < t < G, t <= x <= t+s}; ``truncate``
-applies that rule and ``simulate_truncated`` composes both steps.
+in the truncation region D = {0 < t < G, t <= x <= t+s}, stated once in
+``_in_region``; ``truncate`` applies that rule and ``simulate_truncated``
+composes both steps into a ``TruncatedSample``.
 
 Every latent draw consumes exactly two uniforms from the supplied
 generator in a fixed order (U first), so streams are reproducible across
@@ -17,7 +18,8 @@ cannot occur; a redraw guard covers it anyway for foreign generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -48,65 +50,62 @@ class ObservedPair:
     t_tilde: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class TruncatedSample:
-    """An ordered collection of observed pairs under one study design.
+    """An ordered sample of observed pairs under one study design.
 
-    Parameters
-    ----------
-    observations : tuple of ObservedPair
-        Every pair must satisfy 0 < t <= x <= t+s and t < G; construction
-        validates this against ``design`` and raises DataError otherwise.
-    design : StudyDesign
-    n_latent : int or None
-        The latent sample size, known only in simulation.
-
-    The float arrays backing the observations are built once and exposed
-    through ``x_arr``/``t_arr`` for vectorized consumers.
+    The read-only float64 arrays ``x_arr`` and ``t_arr`` are the sample;
+    ``observations`` is a tuple of ObservedPair built from them on first
+    access.  Both constructors, ``TruncatedSample(observations, design,
+    n_latent)`` and ``from_arrays(x, t, design, n_latent)``, raise
+    DataError unless every pair lies in D.  ``n_latent`` is the latent
+    sample size, known only in simulation.
     """
 
-    observations: tuple[ObservedPair, ...]
+    x_arr: np.ndarray
+    t_arr: np.ndarray
     design: StudyDesign
-    n_latent: int | None = None
-    _x: np.ndarray = field(init=False, repr=False, compare=False)
-    _t: np.ndarray = field(init=False, repr=False, compare=False)
+    n_latent: int | None
 
-    def __post_init__(self) -> None:
-        obs = tuple(self.observations)
-        object.__setattr__(self, "observations", obs)
+    def __init__(
+        self,
+        observations: Iterable[ObservedPair],
+        design: StudyDesign,
+        n_latent: int | None = None,
+    ) -> None:
+        obs = tuple(observations)
         x = np.fromiter((o.x_tilde for o in obs), dtype=float, count=len(obs))
         t = np.fromiter((o.t_tilde for o in obs), dtype=float, count=len(obs))
-        ok = (0.0 < t) & (t < self.design.big_g) & (t <= x) & (x <= t + self.design.s)
+        self._adopt(x, t, design, n_latent)
+
+    def _adopt(self, x: np.ndarray, t: np.ndarray, design: StudyDesign, n_latent) -> None:
+        if x.ndim != 1 or x.shape != t.shape:
+            raise DataError(f"x, t must be 1-D of equal length, not {x.shape}, {t.shape}")
+        ok = _in_region(x, t, design)
         if not bool(np.all(ok)):
             bad = int(np.argmin(ok))
             raise DataError(
                 f"observation {bad} = ({x[bad]}, {t[bad]}) outside D "
-                f"for G={self.design.big_g}, s={self.design.s}"
+                f"for G={design.big_g}, s={design.s}"
             )
-        if self.n_latent is not None:
-            if self.n_latent < 1 or self.n_latent != int(self.n_latent):
-                raise DataError(f"n_latent={self.n_latent!r} must be a positive integer")
-            if len(obs) > self.n_latent:
-                raise DataError(
-                    f"M={len(obs)} exceeds n_latent={self.n_latent}"
-                )
+        if n_latent is not None:
+            if n_latent < 1 or n_latent != int(n_latent):
+                raise DataError(f"n_latent={n_latent!r} must be a positive integer")
+            if x.size > n_latent:
+                raise DataError(f"M={x.size} exceeds n_latent={n_latent}")
         x.setflags(write=False)
         t.setflags(write=False)
-        object.__setattr__(self, "_x", x)
-        object.__setattr__(self, "_t", t)
+        # Frozen: fill the instance dict directly, as cached_property does.
+        vars(self).update(x_arr=x, t_arr=t, design=design, n_latent=n_latent)
 
     @property
     def m(self) -> int:
         """Number of observations M."""
-        return len(self.observations)
+        return self.x_arr.size
 
-    @property
-    def x_arr(self) -> np.ndarray:
-        return self._x
-
-    @property
-    def t_arr(self) -> np.ndarray:
-        return self._t
+    @cached_property
+    def observations(self) -> tuple[ObservedPair, ...]:
+        return tuple(map(ObservedPair, self.x_arr.tolist(), self.t_arr.tolist()))
 
     @classmethod
     def from_arrays(
@@ -116,10 +115,9 @@ class TruncatedSample:
         design: StudyDesign,
         n_latent: int | None = None,
     ) -> "TruncatedSample":
-        obs = tuple(
-            ObservedPair(float(xi), float(ti)) for xi, ti in zip(x, t, strict=True)
-        )
-        return cls(observations=obs, design=design, n_latent=n_latent)
+        sample = cls.__new__(cls)
+        sample._adopt(np.array(x, float), np.array(t, float), design, n_latent)
+        return sample
 
 
 def _draw_uniform_pairs(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -160,6 +158,7 @@ def draw_latent(
 
 
 def _in_region(x: np.ndarray, t: np.ndarray, design: StudyDesign) -> np.ndarray:
+    """Elementwise membership in D = {0 < t < G, t <= x <= t+s}; NaN is outside."""
     return (0.0 < t) & (t < design.big_g) & (t <= x) & (x <= t + design.s)
 
 

@@ -5,9 +5,11 @@ import math
 from pathlib import Path
 
 import jsonschema
+import numpy as np
 import pytest
 
-from truncdep.cli import _MC_COLUMNS, main
+from truncdep import CopulaFamily, DataError, ModelParams, StudyDesign, simulate_truncated
+from truncdep.cli import _MC_COLUMNS, _read_sample, main
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
@@ -83,6 +85,18 @@ def test_simulate_deterministic_and_well_formed(tmp_path, capsys):
         assert t <= x <= t + 3.0
 
 
+def test_simulate_csv_reads_back_bit_for_bit(tmp_path):
+    csv_path = simulate_csv(tmp_path, family="fgm", theta=0.08, vartheta=0.4, n=20_000)
+    design = StudyDesign(24.0, 3.0)
+    read = _read_sample(str(csv_path), design)
+    drawn = simulate_truncated(
+        ModelParams(CopulaFamily.FGM, 0.08, 0.4), design, 20_000, np.random.default_rng(7)
+    )
+    assert read.m == drawn.m > 100
+    np.testing.assert_array_equal(read.x_arr, drawn.x_arr)
+    np.testing.assert_array_equal(read.t_arr, drawn.t_arr)
+
+
 def test_simulate_empty_sample_is_header_only(tmp_path, capsys):
     out = tmp_path / "empty.csv"
     rc = main(
@@ -154,6 +168,29 @@ def test_fit_bad_row_cites_physical_line(tmp_path, capsys):
     rc = main(["fit", str(p), "--family", "gb", "--G", "24", "--s", "3"])
     assert rc == 2
     assert f"{p}:3:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body,message",
+    [
+        ("1.5,1.0\nnan,2.0\n", ":3: non-finite value"),
+        ("1.5,1.0\n2.5,inf\n", ":3: non-finite value"),
+        ("1.5,1.0\n25.0,24.0\n", ":3: t=24.0 outside (0, 24.0)"),
+        ("1.5,1.0\n1.0,2.0\n", ":3: x=1.0 outside [t, t+s] = [2.0, 5.0]"),
+        ("9.0,2.0\n1.5,1.0\n3.0,-1.0\n", ":2: x=9.0 outside [t, t+s]"),
+        ("1.5,1.0\n3.0,-1.0\n9.0,2.0\n", ":3: t=-1.0 outside (0, 24.0)"),
+        ("9.0,2.0\noops,1.0\n", ":3: non-numeric value"),
+        ("9.0,2.0\n1.5\n", ":3: expected 2 fields, got 1"),
+    ],
+    ids=["nan", "inf", "t-range", "x-range", "first-of-two", "first-of-two-t",
+         "parse-before-region", "structure-before-region"],
+)
+def test_read_sample_reports_first_bad_line(tmp_path, body, message):
+    p = tmp_path / "bad.csv"
+    p.write_text("x,t\n" + body)
+    with pytest.raises(DataError) as exc:
+        _read_sample(str(p), StudyDesign(24.0, 3.0))
+    assert str(exc.value).startswith(f"{p}{message}")
 
 
 def test_fit_non_numeric_value(tmp_path, capsys):

@@ -105,6 +105,30 @@ def test_boundary_fit_theta_is_restricted_theta():
         assert result.log_lik >= restricted.log_lik
 
 
+def test_lbfgsb_runs_on_one_blas_thread_and_restores_the_count(gb_sample, monkeypatch):
+    # Every L-BFGS-B solve sets scipy's OpenBLAS to one thread and then
+    # hands back the count it found, so a fit leaves the count unchanged.
+    from truncdep import estimation
+
+    real = estimation._set_blas_threads
+    calls = []
+
+    def record(n):
+        calls.append(n)
+        return real(n)
+
+    before = real(1)
+    real(before)
+    monkeypatch.setattr(estimation, "_set_blas_threads", record)
+    fit(gb_sample[2], GB)
+    after = real(1)
+    real(after)
+    assert len(calls) >= 2 and len(calls) % 2 == 0
+    assert calls[0::2] == [1] * (len(calls) // 2)
+    assert calls[1::2] == [before] * (len(calls) // 2)
+    assert after == before
+
+
 def test_fit_interior_on_independent_data():
     params0 = ModelParams(GB, 0.05, 0.0)
     sample = simulate_truncated(params0, DESIGN, 30_000, np.random.default_rng(40))

@@ -99,6 +99,24 @@ def test_boundary_test_sigma_comes_from_restricted_fit(gb_sample):
     assert result.sigma_vartheta_hat == pytest.approx(expected, rel=1e-12)
 
 
+def test_boundary_test_reuses_boundary_fit_information(monkeypatch):
+    # A boundary fit's theta_hat is the restricted estimator bit for bit,
+    # so the test takes its information without refitting.
+    params0 = ModelParams(GB, 0.05, 0.0)
+    sample = simulate_truncated(params0, DESIGN, 30_000, np.random.default_rng(41))
+    fitted = fit(sample, GB)
+    assert fitted.at_boundary
+    info0 = fisher_info_hat(fit_restricted(sample, GB).params_hat, sample)
+    expected = math.sqrt(np.linalg.inv(info0)[1, 1])
+
+    def no_refit(*args, **kwargs):
+        raise AssertionError("boundary fit was refitted")
+
+    monkeypatch.setattr("truncdep.inference.fit_restricted", no_refit)
+    result = wald_boundary_test(fitted, sample, 0.05)
+    assert result.sigma_vartheta_hat == expected
+
+
 def test_boundary_test_pvalue_consistent_with_statistic():
     params0 = ModelParams(GB, 0.05, 0.0)
     sample = simulate_truncated(params0, DESIGN, 30_000, np.random.default_rng(40))

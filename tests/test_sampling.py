@@ -85,6 +85,30 @@ def test_sample_rejects_m_exceeding_n_latent():
         )
 
 
+@pytest.mark.parametrize(
+    "x,t",
+    [([2.0, 2.5], [1.0]), ([[2.0, 2.5]], [[1.0, 1.5]])],
+    ids=["length-mismatch", "two-dimensional"],
+)
+def test_from_arrays_rejects_malformed_arrays(x, t):
+    with pytest.raises(DataError, match="1-D of equal length"):
+        TruncatedSample.from_arrays(np.array(x), np.array(t), DESIGN)
+
+
+def test_observations_view_built_on_first_access():
+    params = ModelParams(GB, 0.05, 0.3)
+    sample = simulate_truncated(params, DESIGN, 2000, np.random.default_rng(3))
+    assert "observations" not in vars(sample)
+    obs = sample.observations
+    assert obs is sample.observations
+    assert [(o.x_tilde, o.t_tilde) for o in obs] == list(
+        zip(sample.x_arr.tolist(), sample.t_arr.tolist())
+    )
+    again = TruncatedSample(observations=obs, design=DESIGN, n_latent=2000)
+    np.testing.assert_array_equal(again.x_arr, sample.x_arr)
+    np.testing.assert_array_equal(again.t_arr, sample.t_arr)
+
+
 def test_sample_arrays_are_read_only():
     sample = truncate([LatentPair(2.0, 1.0)], DESIGN)
     with pytest.raises(ValueError):
