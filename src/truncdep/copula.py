@@ -13,9 +13,13 @@ and its inverse (the workhorse of conditional-inversion sampling), the
 joint density and CDF of (X, T) under the exponential-by-uniform margins,
 and Kendall's tau.
 
+Each family's log-density and its exact first and second partials are
+written once here; the likelihood, the alpha integrand and
+``joint_density`` all use them.
+
 Public operations take and return Python floats and validate their
 domains.  The ``_*`` helpers are vectorized, assume interior inputs, and
-skip validation; the sampling and likelihood modules build on them.
+skip validation; the other modules build on them.
 """
 
 from __future__ import annotations
@@ -259,39 +263,111 @@ def inv_cond_cdf_given_u(
 
 
 # ---------------------------------------------------------------------------
-# joint density / CDF of (X, T) under Exp(theta) x Unif[0, G] margins
+# log-density kernel of (X, T) under Exp(theta) x Unif[0, G] margins
+#
+# f = (theta/G) e^ell c: only the exponent ell and the copula-density factor
+# c depend on the family.  A pieces function returns (ell, c, d_lt, d_c,
+# h_lt, h_c), the partials of lt = ell + log(theta) and of c as (theta,
+# vartheta) pairs and (theta-theta, theta-vartheta, vartheta-vartheta)
+# triples, None above ``order``; one that vanishes identically is 0.0.
+
+_HESS_INDEX = ((0, 0), (0, 1), (1, 1))
 
 
-def _gb_terms(theta, vartheta, big_g, x, t):
-    """Stable building blocks of the Gumbel-Barnett joint density.
+def _gb_pieces(theta, vartheta, x, L, order: int):
+    """Gumbel-Barnett at (x, L = log(1 - t/G)): ell = -theta*x*B, c = P.
 
-    Returns (L, B, P, f) elementwise for array x, t in the support:
-    L = log(1 - t/G) <= 0, B = 1 - vartheta*L >= 1,
-    P = (vartheta*theta*x + 1)*B - vartheta, f = (theta/G) e^{-theta*x*B} P.
-
-    P equals minus the bracket of the printed density and stays >=
-    1 - vartheta > 0 on the support; callers assert rather than clamp.
+    P = (vartheta*theta*x + 1)*B - vartheta with B = 1 - vartheta*L >= 1 is
+    minus the printed bracket and stays >= 1 - vartheta > 0 on the support;
+    callers assert rather than clamp.
     """
-    L = np.log1p(-t / big_g)
     B = 1.0 - vartheta * L
     P = (vartheta * theta * x + 1.0) * B - vartheta
-    f = (theta / big_g) * np.exp(-theta * x * B) * P
-    return L, B, P, f
+    d = h = (None, None)
+    if order >= 1:
+        tx = theta * x
+        d_c_vt = -((2.0 * vartheta * theta * x + 1.0) * L - tx + 1.0)
+        d = ((1.0 / theta - x * B, tx * L), (vartheta * x * B, d_c_vt))
+    if order == 2:
+        h_c = (0.0, x * (1.0 - 2.0 * vartheta * L), -2.0 * theta * x * L)
+        h = ((-1.0 / theta**2, x * L, 0.0), h_c)
+    return (-theta * x * B, P, *d, *h)
 
 
-def _fgm_terms(theta, vartheta, big_g, x, t):
-    """(e^{-theta x}, copula-density factor, f) for FGM, elementwise."""
-    ex = np.exp(-theta * x)
-    c = 1.0 + vartheta * (2.0 * ex - 1.0) * (1.0 - 2.0 * t / big_g)
-    f = (theta / big_g) * ex * c
-    return ex, c, f
+def _fgm_pieces(theta, vartheta, x, q, order: int):
+    """FGM at (x, q = 1 - 2t/G): ell = -theta*x, c = 1 + vartheta*(2e^ell - 1)*q."""
+    ell = -theta * x
+    ex = np.exp(ell)
+    w = 2.0 * ex - 1.0
+    d = h = (None, None)
+    if order >= 1:
+        d = ((1.0 / theta - x, 0.0), (-2.0 * vartheta * x * ex * q, w * q))
+    if order == 2:
+        h_c = (2.0 * vartheta * x * x * ex * q, -2.0 * x * ex * q, 0.0)
+        h = ((-1.0 / theta**2, 0.0, 0.0), h_c)
+    c = w  # built in place: one M-sized array fewer
+    c *= vartheta
+    c *= q
+    c += 1.0
+    return (ell, c, *d, *h)
 
 
-def _density_arrays(params: ModelParams, design: StudyDesign, x, t):
-    """Joint density on arrays of support points; no domain validation."""
-    if params.family is CopulaFamily.GUMBEL_BARNETT:
-        return _gb_terms(params.theta, params.vartheta, design.big_g, x, t)[3]
-    return _fgm_terms(params.theta, params.vartheta, design.big_g, x, t)[2]
+def _pieces(family: CopulaFamily, theta, vartheta, big_g, x, t, order: int):
+    """The family's pieces at support points (x, t); no validation."""
+    if family is CopulaFamily.GUMBEL_BARNETT:
+        return _gb_pieces(theta, vartheta, x, np.log1p(-t / big_g), order)
+    return _fgm_pieces(theta, vartheta, x, 1.0 - 2.0 * t / big_g, order)
+
+
+def _log_density(pieces, theta: float, big_g: float, order: int, want_logf=True):
+    """(log f, gradient, Hessian), each present up to ``order``.
+
+    Consumes ``pieces``: the gradient is built in the arrays of d_c, so
+    that no further M-sized arrays are allocated.
+    """
+    ell, c, d_lt, r, h_lt, h_c = pieces
+    logf = math.log(theta / big_g) + ell + np.log(c) if want_logf else None
+    if order == 0:
+        return logf, (None, None), None
+    for r_i in r:
+        r_i /= c  # r = grad c / c
+    hess = None
+    if order == 2:
+        hess = tuple(
+            h_lt[k] + h_c[k] / c - r[i] * r[j] for k, (i, j) in enumerate(_HESS_INDEX)
+        )
+    for r_i, d_i in zip(r, d_lt):
+        r_i += d_i
+    return logf, r, hess
+
+
+def _density(pieces, theta: float, big_g: float, order: int):
+    """(f, gradient, Hessian) of f = K c with K = (theta/G) e^ell.
+
+    grad f = K (c grad lt + grad c) and H f = K (c (H lt + grad lt grad lt')
+    + H c + grad lt grad c' + grad c grad lt'), which divide by nothing.
+    """
+    ell, c, d_lt, d_c, h_lt, h_c = pieces
+    k = np.exp(ell)
+    k *= theta / big_g
+    f = k * c
+    if order == 0:
+        return f, None, None
+    # In place: fewer grid-sized temporaries to allocate and fault in.
+    grad = []
+    for d_lt_i, d_c_i in zip(d_lt, d_c):
+        g = c * d_lt_i
+        g += d_c_i
+        g *= k
+        grad.append(g)
+    if order == 1:
+        return f, grad, None
+    hess = tuple(
+        k * (c * (h_lt[n] + d_lt[i] * d_lt[j]) + h_c[n]
+             + d_lt[i] * d_c[j] + d_lt[j] * d_c[i])
+        for n, (i, j) in enumerate(_HESS_INDEX)
+    )
+    return f, grad, hess
 
 
 def joint_density(params: ModelParams, design: StudyDesign, x: float, t: float) -> float:
@@ -306,19 +382,13 @@ def joint_density(params: ModelParams, design: StudyDesign, x: float, t: float) 
         raise DomainError(f"x={x!r} outside the support (need x > 0)")
     if not (math.isfinite(t) and 0.0 < t < design.big_g):
         raise DomainError(f"t={t!r} outside the support (need 0 < t < G)")
-    if params.family is CopulaFamily.GUMBEL_BARNETT:
-        _, _, P, f = _gb_terms(params.theta, params.vartheta, design.big_g, x, t)
-        if not P > 0.0:
-            raise InvariantError(
-                f"density bracket sign violated at x={x}, t={t}: P={float(P)}"
-            )
-        return float(f)
-    _, c, f = _fgm_terms(params.theta, params.vartheta, design.big_g, x, t)
+    p = _pieces(params.family, params.theta, params.vartheta, design.big_g, x, t, 0)
+    c = float(p[1])
     if not c > 0.0:
         raise InvariantError(
-            f"FGM copula-density factor nonpositive at x={x}, t={t}: c={float(c)}"
+            f"{params.family.value} copula-density factor {c} <= 0 at x={x}, t={t}"
         )
-    return float(f)
+    return float(_density(p, params.theta, design.big_g, 0)[0])
 
 
 def joint_cdf(params: ModelParams, design: StudyDesign, x: float, t: float) -> float:

@@ -35,7 +35,7 @@ from .copula import (
 from .errors import DataError
 from .likelihood import _obs_terms, log_likelihood, profile_n
 from .sampling import TruncatedSample
-from .selection import _alpha_and_grad, alpha
+from .selection import _alpha_and_grad, _alpha_and_hess, alpha
 
 __all__ = ["FitOptions", "FitResult", "fit", "fit_restricted", "fisher_info_hat"]
 
@@ -96,17 +96,35 @@ def _objective_factory(
     m = len(x)
     big_g, s = design.big_g, design.s
 
-    def neg_lp(z: np.ndarray) -> tuple[float, np.ndarray]:
+    def neg_lp(z: np.ndarray, want_hess: bool = False):
+        """-l_p and its gradient; with ``want_hess`` also the exact Hessian,
+        -(sum H log f - M (H alpha / alpha - grad alpha grad alpha' / alpha^2))."""
         theta, vartheta = float(z[0]), float(z[1])
-        logf, g1, g2 = _obs_terms(family, theta, vartheta, big_g, x, t)
-        a, d_t, d_v = _alpha_and_grad(family, theta, vartheta, big_g, s)
+        logf, g1, g2, *h = _obs_terms(
+            family, theta, vartheta, big_g, x, t, want_hess=want_hess
+        )
+        alpha_terms = _alpha_and_hess if want_hess else _alpha_and_grad
+        a, d_t, d_v, *d2 = alpha_terms(family, theta, vartheta, big_g, s)
         value = float(np.sum(logf)) - m * math.log(a)
         grad = np.array(
             [float(np.sum(g1)) - m * d_t / a, float(np.sum(g2)) - m * d_v / a]
         )
-        return -value, -grad
+        if not want_hess:
+            return -value, -grad
+        h_tt, h_tv, h_vv = (float(np.sum(hk)) - m * d2k / a for hk, d2k in zip(h[0], d2))
+        r = np.array([d_t, d_v]) / a
+        hess = np.array([[h_tt, h_tv], [h_tv, h_vv]]) + m * np.outer(r, r)
+        return -value, -grad, -hess
 
     return neg_lp
+
+
+def _inv2(mat: np.ndarray) -> np.ndarray | None:
+    """Closed-form inverse of a 2x2 matrix; None if singular or not finite."""
+    (a, b), (c, d) = np.asarray(mat, dtype=float)
+    det = a * d - b * c
+    inv = np.array([[d, -b], [-c, a]]) / det if det != 0.0 else np.full((2, 2), np.nan)
+    return inv if np.all(np.isfinite(inv)) else None
 
 
 # L-BFGS-B's LAPACK triangular solves hand even 2x2 systems to the OpenBLAS
@@ -161,12 +179,8 @@ def _run_starts(neg_lp, starts, bounds, options: FitOptions, m: int):
 
 
 def _clip_starts(raw, bounds):
-    out = []
-    for th0, vt0 in raw:
-        th0 = min(max(th0, bounds[0][0]), bounds[0][1])
-        vt0 = min(max(vt0, bounds[1][0]), bounds[1][1])
-        out.append((th0, vt0))
-    return out
+    lo, hi = np.array(bounds, dtype=float).T
+    return [np.clip(z0, lo, hi) for z0 in raw]
 
 
 def _newton_polish(
@@ -178,40 +192,31 @@ def _newton_polish(
     Line-search methods stall once objective differences drop below
     float resolution, which on badly scaled samples leaves the gradient
     an order of magnitude above tolerance.  Stepping on the gradient
-    root directly needs no resolvable objective decrease.  Steps larger
-    than the polish radius mean the point is not near a stationary one,
-    and the input is returned unchanged in spirit (loop exits early).
+    root with the exact Hessian of l_p needs no resolvable objective
+    decrease.  Steps larger than the polish radius mean the point is not
+    near a stationary one, and the loop exits early.
     """
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
+    lo, hi = np.array(bounds, dtype=float).T
     target = options.gtol_scale * max(m, 1)
-    idx = [0, 1] if free_vartheta else [0]
     z = z.copy()
     for _ in range(5):
         psi = -neg_lp(z)[1]
-        if max(abs(psi[i]) for i in idx) <= target:
+        if not free_vartheta:
+            psi[1] = 0.0
+        if float(np.max(np.abs(psi))) <= target:
             break
-        jac = np.empty((len(idx), len(idx)))
-        for col, i in enumerate(idx):
-            h = 1e-6 * max(1.0, abs(z[i]))
-            zp, zm = z.copy(), z.copy()
-            zp[i] = min(zp[i] + h, hi[i])
-            zm[i] = max(zm[i] - h, lo[i])
-            if zp[i] == zm[i]:
-                return z
-            dpsi = (-neg_lp(zp)[1] + neg_lp(zm)[1]) / (zp[i] - zm[i])
-            jac[:, col] = dpsi[idx]
-        try:
-            delta = np.linalg.solve(jac, -psi[idx])
-        except np.linalg.LinAlgError:
+        hess = -neg_lp(z, want_hess=True)[2]
+        if not free_vartheta:  # on the face only theta moves
+            hess = np.diag([hess[0, 0], 1.0])
+        inv = _inv2(hess)
+        if inv is None:
             break
+        delta = -np.sum(inv * psi, axis=1)
         if not np.all(np.isfinite(delta)) or np.max(np.abs(delta)) > 1e-3 * (
             1.0 + float(np.max(np.abs(z)))
         ):
             break
-        z_new = z.copy()
-        for col, i in enumerate(idx):
-            z_new[i] = min(max(z[i] + delta[col], lo[i]), hi[i])
+        z_new = np.clip(z + delta, lo, hi)
         if np.array_equal(z_new, z):
             break
         z = z_new
@@ -258,11 +263,8 @@ def _finalize(
     a_hat = alpha(params_hat, sample.design)
     n_hat = profile_n(sample.m, a_hat)
     info = fisher_info_hat(params_hat, sample)
-    try:
-        cov = np.linalg.inv(info)
-        if not np.all(np.isfinite(cov)):
-            raise np.linalg.LinAlgError("non-finite inverse")
-    except np.linalg.LinAlgError:
+    cov = _inv2(info)
+    if cov is None:
         cov = np.full((2, 2), np.nan)
     if at_boundary and info[0, 0] > 0.0:
         se_theta = math.sqrt(1.0 / (info[0, 0] * n_hat))
@@ -360,8 +362,7 @@ def fit(
 
     # Derivative-free fallback polish from the best point; a quadratic
     # penalty keeps the simplex inside the box.
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
+    lo, hi = np.array(bounds, dtype=float).T
 
     def penalized(q: np.ndarray) -> float:
         qc = np.clip(q, lo, hi)
@@ -418,7 +419,8 @@ def fisher_info_hat(params_hat: ModelParams, sample: TruncatedSample) -> np.ndar
     psi1 = g1 - d_t / a
     psi2 = g2 - d_v / a
     n_hat = profile_n(sample.m, a)
-    cross = float(psi1 @ psi2)
+    # Elementwise reductions: a BLAS dot of length M wakes a thread pool.
+    cross = float(np.sum(psi1 * psi2))
     return np.array(
-        [[float(psi1 @ psi1), cross], [cross, float(psi2 @ psi2)]]
+        [[float(np.sum(psi1 * psi1)), cross], [cross, float(np.sum(psi2 * psi2))]]
     ) / n_hat

@@ -25,7 +25,7 @@ import numpy as np
 
 from .copula import CopulaFamily, ModelParams, StudyDesign
 from .errors import DomainError, InvariantError
-from .estimation import FitResult, fisher_info_hat, fit_restricted
+from .estimation import FitResult, _inv2, fisher_info_hat, fit_restricted
 from .sampling import TruncatedSample
 
 __all__ = [
@@ -79,10 +79,9 @@ def _phibar(z: float) -> float:
 
 
 def _sigma_from_info(info: np.ndarray) -> float:
-    try:
-        cov = np.linalg.inv(info)
-    except np.linalg.LinAlgError as exc:
-        raise InvariantError("information matrix is not invertible") from exc
+    cov = _inv2(info)
+    if cov is None:
+        raise InvariantError("information matrix is not invertible")
     var = float(cov[1, 1])
     if not (math.isfinite(var) and var > 0.0):
         raise InvariantError(f"nonpositive vartheta variance {var!r}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .copula import CopulaFamily, ModelParams, StudyDesign
+from .copula import CopulaFamily, ModelParams, StudyDesign, _log_density, _pieces
 from .errors import DomainError, InvariantError
 from .sampling import LatentPair, ObservedPair, TruncatedSample, _in_region
 from .selection import _alpha_and_grad, alpha
@@ -54,42 +54,23 @@ def _obs_terms(
     *,
     want_logf: bool = True,
     want_grads: bool = True,
+    want_hess: bool = False,
 ):
     """(log f, dlogf/dtheta, dlogf/dvartheta) elementwise on support points.
 
-    Parameters are taken raw (no box validation): finite-difference
-    consumers evaluate just outside the admissible box, where the
-    formulas still extend smoothly.  The Gumbel-Barnett score denominator
-    (vt*th*x+1)(vt*L-1)+vt equals -P and is bounded away from zero on D
-    for admissible parameters; violation raises InvariantError.
+    ``want_hess`` appends the (theta-theta, theta-vartheta, vartheta-vartheta)
+    second partials.  All come from the family's kernel in ``copula``, with
+    parameters taken raw (no box validation): finite-difference consumers
+    evaluate just outside the admissible box, where the formulas extend
+    smoothly.  The copula-density factor c divides the score and is bounded
+    away from zero on D for admissible parameters, or InvariantError is raised.
     """
-    logf = g1 = g2 = None
-    if family is CopulaFamily.GUMBEL_BARNETT:
-        L = np.log1p(-t / big_g)
-        B = 1.0 - vartheta * L
-        A = vartheta * theta * x + 1.0
-        P = A * B - vartheta
-        if not np.all(P > 0.0):
-            raise InvariantError("score/density denominator hit zero on D")
-        if want_logf:
-            logf = math.log(theta / big_g) - theta * x * B + np.log(P)
-        if want_grads:
-            dnom = -P
-            vl1 = vartheta * L - 1.0  # vt*L - 1 = -B
-            g1 = 1.0 / theta + x * vl1 + vartheta * x * vl1 / dnom
-            g2 = theta * x * L + ((2.0 * vartheta * theta * x + 1.0) * L - theta * x + 1.0) / dnom
-    else:
-        ex = np.exp(-theta * x)
-        q = 1.0 - 2.0 * t / big_g
-        c = 1.0 + vartheta * (2.0 * ex - 1.0) * q
-        if not np.all(c > 0.0):
-            raise InvariantError("FGM copula-density factor hit zero on D")
-        if want_logf:
-            logf = math.log(theta / big_g) - theta * x + np.log(c)
-        if want_grads:
-            g1 = 1.0 / theta - x - 2.0 * vartheta * x * ex * q / c
-            g2 = (2.0 * ex - 1.0) * q / c
-    return logf, g1, g2
+    order = 2 if want_hess else 1 if want_grads else 0
+    p = _pieces(family, theta, vartheta, big_g, x, t, order)
+    if not np.all(p[1] > 0.0):
+        raise InvariantError(f"{family.value} copula-density factor hit zero on D")
+    logf, (g1, g2), hess = _log_density(p, theta, big_g, order, want_logf=want_logf)
+    return (logf, g1, g2, hess) if want_hess else (logf, g1, g2)
 
 
 def log_likelihood(params: ModelParams, n: float, sample: TruncatedSample) -> float:

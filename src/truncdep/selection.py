@@ -12,6 +12,8 @@ precision, roughly 300x faster than adaptive quadrature -- the fit hot
 path evaluates alpha thousands of times), with a rate-adapted grid once
 theta*(G+s) leaves the cached rule's validated accuracy range.  Iterated
 adaptive quadrature is kept as an explicit method for cross-validation.
+The first and second partials integrate the exact partials of the
+density, from the log-density kernel in ``copula``, on the same grid.
 FGM uses the closed three-term formula and fully analytic derivatives.
 """
 
@@ -24,15 +26,12 @@ import numpy as np
 from scipy.integrate import dblquad
 
 from . import _quad
-from .copula import CopulaFamily, ModelParams, StudyDesign
+from .copula import CopulaFamily, ModelParams, StudyDesign, _density, _gb_pieces
 from .errors import DomainError, InvariantError
 
 # Above this value of theta*(G+s) the cached grid loses accuracy (the
 # integrand's boundary layer gets too thin); switch to the rate-adapted grid.
 _FIXED_LIMIT = 60.0
-
-# Step scale for the finite-difference second partials (Gumbel-Barnett).
-_FD_SCALE = 1e-5
 
 
 @dataclass(frozen=True)
@@ -58,69 +57,30 @@ class AlphaBundle:
 # Gumbel-Barnett: numeric integration over D
 
 
-def _gb_integrands(theta: float, vartheta: float, big_g: float, L, x, *, grads: bool):
-    """Density and optionally its parameter partials on grid points.
+def _gb_fixed(theta, vartheta, big_g, s, order: int) -> tuple[float, ...]:
+    """The first 1, 3 or 6 ``AlphaBundle`` fields for order 0, 1 or 2.
 
-    L = log(1 - t/G) is supplied directly by the transformed grid, so no
-    logarithm is evaluated here.  Returns (f, df/dtheta, df/dvartheta)
-    with None placeholders when ``grads`` is false.
+    Sums on the tensor grid, whose L = log(1 - t/G) is exact.  Parameters
+    are not validated: the integrand extends smoothly just outside the box.
     """
-    B = 1.0 - vartheta * L
-    A = vartheta * theta * x + 1.0
-    P = A * B - vartheta
-    E = np.exp(-theta * x * B)
-    f = (theta / big_g) * E * P
-    if not grads:
-        return f, None, None
-    d_theta = (E / big_g) * (P * (1.0 - theta * x * B) + theta * vartheta * x * B)
-    d_vartheta = (theta / big_g) * E * (theta * x * L * P + theta * x * B - L * A - 1.0)
-    return f, d_theta, d_vartheta
-
-
-def _gb_fixed(theta, vartheta, big_g, s, *, grads):
     if theta * (big_g + s) <= _FIXED_LIMIT:
         L, _, x, w = _quad.domain_grid(big_g, s)
-        L = L[:, None]
     else:
         L, _, x, w = _quad.domain_grid_for_rate(big_g, s, theta)
-        L = L[:, None]
-    f, d_t, d_v = _gb_integrands(theta, vartheta, big_g, L, x, grads=grads)
-    a = float(np.sum(f * w))
-    if not grads:
-        return a, None, None
-    return a, float(np.sum(d_t * w)), float(np.sum(d_v * w))
+    f, grad, hess = _density(
+        _gb_pieces(theta, vartheta, x, L[:, None], order), theta, big_g, order
+    )
+    return tuple(float(np.sum(v * w)) for v in (f, *(grad or ()), *(hess or ())))
 
 
-def _gb_adaptive(theta, vartheta, big_g, s, *, grads):
-    def run(which: int) -> float:
-        def integrand(x, t):
-            L = np.log1p(-t / big_g)
-            return float(
-                _gb_integrands(theta, vartheta, big_g, L, x, grads=which > 0)[which]
-            )
+def _gb_adaptive(theta, vartheta, big_g, s) -> float:
+    def integrand(x, t):
+        p = _gb_pieces(theta, vartheta, x, np.log1p(-t / big_g), 0)
+        return float(_density(p, theta, big_g, 0)[0])
 
-        value, _ = dblquad(
-            integrand, 0.0, big_g, lambda t: t, lambda t: t + s,
-            epsabs=1e-10, epsrel=1e-10,
-        )
-        return value
-
-    if not grads:
-        return run(0), None, None
-    return run(0), run(1), run(2)
-
-
-def _gb_alpha_grad(theta, vartheta, big_g, s, *, method="fixed", grads=True):
-    """(alpha, d_theta, d_vartheta) for Gumbel-Barnett, unvalidated params.
-
-    Internal: tolerates theta/vartheta slightly outside the admissible box
-    so that finite differences can straddle the boundary.
-    """
-    if method == "fixed":
-        return _gb_fixed(theta, vartheta, big_g, s, grads=grads)
-    if method == "adaptive":
-        return _gb_adaptive(theta, vartheta, big_g, s, grads=grads)
-    raise DomainError(f"unknown quadrature method {method!r}")
+    return dblquad(
+        integrand, 0.0, big_g, lambda t: t, lambda t: t + s, epsabs=1e-10, epsrel=1e-10
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +171,15 @@ def alpha(params: ModelParams, design: StudyDesign, *, method: str = "fixed") ->
     the production path) or "adaptive" (iterated adaptive quadrature,
     absolute tolerance 1e-10).  The two agree to better than 1e-10.
     """
+    th, vt, big_g, s = params.theta, params.vartheta, design.big_g, design.s
     if params.family is CopulaFamily.FGM:
-        value = _fgm_alpha(params.theta, params.vartheta, design.big_g, design.s)
+        value = _fgm_alpha(th, vt, big_g, s)
+    elif method == "fixed":
+        (value,) = _gb_fixed(th, vt, big_g, s, 0)
+    elif method == "adaptive":
+        value = _gb_adaptive(th, vt, big_g, s)
     else:
-        value, _, _ = _gb_alpha_grad(
-            params.theta, params.vartheta, design.big_g, design.s,
-            method=method, grads=False,
-        )
+        raise DomainError(f"unknown quadrature method {method!r}")
     if not 0.0 < value < 1.0:
         raise InvariantError(f"alpha={value!r} outside (0,1)")
     return value
@@ -232,38 +194,23 @@ def _alpha_and_grad(
     closed forms for FGM.
     """
     if family is CopulaFamily.FGM:
-        a, d_t, d_v, _, _, _ = _fgm_chain(theta, vartheta, big_g, s)
-        return a, d_t, d_v
-    return _gb_alpha_grad(theta, vartheta, big_g, s)
+        return _fgm_chain(theta, vartheta, big_g, s)[:3]
+    return _gb_fixed(theta, vartheta, big_g, s, 1)
+
+
+def _alpha_and_hess(family, theta, vartheta, big_g, s) -> tuple[float, ...]:
+    """The six ``AlphaBundle`` fields in order, without box validation."""
+    if family is CopulaFamily.FGM:
+        return _fgm_chain(theta, vartheta, big_g, s)
+    return _gb_fixed(theta, vartheta, big_g, s, 2)
 
 
 def alpha_bundle(params: ModelParams, design: StudyDesign) -> AlphaBundle:
     """Alpha with first and second partials in (theta, vartheta).
 
-    FGM is fully analytic.  Gumbel-Barnett first partials integrate the
-    analytically differentiated integrand (differentiation under the
-    integral is valid on the bounded D); second partials are central
-    finite differences of the first partials with step
-    1e-5 * max(1, |parameter|).
+    FGM is fully analytic.  For Gumbel-Barnett every partial integrates
+    the exact partial of the density (differentiation under the integral
+    is valid on the bounded D) in one pass over the tensor grid.
     """
     th, vt = params.theta, params.vartheta
-    big_g, s = design.big_g, design.s
-    if params.family is CopulaFamily.FGM:
-        return AlphaBundle(*_fgm_chain(th, vt, big_g, s))
-    a, d_t, d_v = _gb_alpha_grad(th, vt, big_g, s)
-    h_t = _FD_SCALE * max(1.0, abs(th))
-    h_v = _FD_SCALE * max(1.0, abs(vt))
-    # The shifted points may leave the admissible box (vartheta < 0 at the
-    # boundary); the integrand extends smoothly, so that is sound.
-    _, d_t_plus, d_v_plus = _gb_alpha_grad(th + h_t, vt, big_g, s)
-    _, d_t_minus, d_v_minus = _gb_alpha_grad(th - h_t, vt, big_g, s)
-    _, d_t_up, d_v_up = _gb_alpha_grad(th, vt + h_v, big_g, s)
-    _, d_t_down, d_v_down = _gb_alpha_grad(th, vt - h_v, big_g, s)
-    return AlphaBundle(
-        alpha=a,
-        d_theta=d_t,
-        d_vartheta=d_v,
-        d2_theta_theta=(d_t_plus - d_t_minus) / (2.0 * h_t),
-        d2_theta_vartheta=(d_v_plus - d_v_minus) / (2.0 * h_t),
-        d2_vartheta_vartheta=(d_v_up - d_v_down) / (2.0 * h_v),
-    )
+    return AlphaBundle(*_alpha_and_hess(params.family, th, vt, design.big_g, design.s))

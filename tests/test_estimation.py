@@ -17,6 +17,7 @@ from truncdep import (
     fit_restricted,
     simulate_truncated,
 )
+from truncdep.estimation import _inv2, _objective_factory
 from truncdep.likelihood import _obs_terms
 from truncdep.selection import _alpha_and_grad
 
@@ -230,3 +231,31 @@ def test_info_agrees_with_score_jacobian(gb_sample):
     # the cross entry is near zero on the invariant scale, so its
     # disagreement is bounded by the off-diagonal scale, not relatively
     assert abs(info_fd[0, 1] - info[0, 1]) <= 0.05 * scale
+
+
+@pytest.mark.parametrize("family,theta,vt", [(GB, 0.08, 0.0), (GB, 0.05, 0.3), (FGM, 0.08, 0.4)])
+def test_lp_hessian_matches_fd_jacobian_of_score(family, theta, vt):
+    sample = simulate_truncated(
+        ModelParams(family, theta, vt), DESIGN, 30_000, np.random.default_rng(5)
+    )
+    x, t = sample.x_arr, sample.t_arr
+    z = np.array([theta, vt])
+    exact = -_objective_factory(family, DESIGN, x, t)(z, want_hess=True)[2]
+    h = np.array([1e-6 * theta, 1e-6])
+    jac = np.empty((2, 2))
+    for i in range(2):
+        zp, zm = z.copy(), z.copy()
+        zp[i] += h[i]
+        zm[i] -= h[i]
+        jac[:, i] = (
+            _total_score(family, *zp, sample) - _total_score(family, *zm, sample)
+        ) / (2.0 * h[i])
+    assert exact[0, 1] == exact[1, 0]
+    np.testing.assert_allclose(exact, jac, rtol=1e-6)
+
+
+def test_inv2_inverts_and_flags_singular_matrices():
+    mat = np.array([[4.0, 1.0], [1.0, 3.0]])
+    np.testing.assert_allclose(_inv2(mat) @ mat, np.eye(2), atol=1e-15)
+    assert _inv2(np.array([[1.0, 2.0], [2.0, 4.0]])) is None
+    assert _inv2(np.array([[np.nan, 0.0], [0.0, 1.0]])) is None

@@ -9,6 +9,7 @@ from truncdep import (
     CopulaFamily,
     DomainError,
     FitResult,
+    InvariantError,
     ModelParams,
     StudyDesign,
     fisher_info_hat,
@@ -20,7 +21,7 @@ from truncdep import (
     wald_boundary_test,
     wald_interior_test_fgm,
 )
-from truncdep.inference import _phibar
+from truncdep.inference import _phibar, _sigma_from_info
 
 GB = CopulaFamily.GUMBEL_BARNETT
 FGM = CopulaFamily.FGM
@@ -269,3 +270,11 @@ def test_trend_report_custom_year_length():
 def test_trend_report_rejects_gb():
     with pytest.raises(DomainError):
         trend_report_fgm(ModelParams(GB, 0.1, 0.2), DESIGN)
+
+
+@pytest.mark.parametrize(
+    "info", [[[1.0, 2.0], [2.0, 4.0]], [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]]]
+)
+def test_sigma_from_info_rejects_unusable_information(info):
+    with pytest.raises(InvariantError):
+        _sigma_from_info(np.array(info))

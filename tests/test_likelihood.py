@@ -263,3 +263,30 @@ def test_profile_score_mean_zero_at_truth():
 def test_profile_score_rejects_unknown_pair_type():
     with pytest.raises(DomainError):
         profile_score(ModelParams(GB, 0.1, 0.2), (2.0, 1.0), DESIGN)
+
+
+@pytest.mark.parametrize(
+    "family,theta,vt",
+    [(GB, 0.08, 0.0), (GB, 0.05, 0.3), (GB, 0.3, 0.8), (FGM, 0.08, 0.4), (FGM, 0.1, -0.5)],
+)
+def test_obs_hessian_matches_fd_of_gradients(family, theta, vt):
+    # sum of the exact second partials of log f against central differences
+    # of the summed analytic gradient; GB at vt = 0 steps outside the box
+    _, sample = random_sample(family, theta, vt, 30_000, 3)
+    x, t = sample.x_arr, sample.t_arr
+    *_, hess = _obs_terms(family, theta, vt, 24.0, x, t, want_hess=True)
+    exact = np.array([np.sum(h) for h in hess])
+
+    def summed_grad(z):
+        _, g1, g2 = _obs_terms(family, z[0], z[1], 24.0, x, t, want_logf=False)
+        return np.array([np.sum(g1), np.sum(g2)])
+
+    z, h = np.array([theta, vt]), np.array([1e-6 * theta, 1e-6])
+    jac = np.empty((2, 2))
+    for i in range(2):
+        zp, zm = z.copy(), z.copy()
+        zp[i] += h[i]
+        zm[i] -= h[i]
+        jac[:, i] = (summed_grad(zp) - summed_grad(zm)) / (2.0 * h[i])
+    np.testing.assert_allclose(exact, [jac[0, 0], jac[0, 1], jac[1, 1]], rtol=1e-6)
+    assert jac[1, 0] == pytest.approx(jac[0, 1], rel=1e-6)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from truncdep import AlphaBundle, CopulaFamily, DomainError, ModelParams, StudyDesign
-from truncdep.selection import alpha, alpha_bundle
+from truncdep.selection import _alpha_and_grad, alpha, alpha_bundle
 
 from oracles import alpha_oracle, fd_gradient
 
@@ -154,3 +154,28 @@ def test_table_grid_runtime_under_budget():
     for big_g, s, theta, vt in TABLE_CONFIGS:
         alpha(ModelParams(GB, theta, vt), StudyDesign(big_g, s))
     assert time.perf_counter() - start < 5.0
+
+
+@pytest.mark.parametrize(
+    "family,theta,vt,big_g,s",
+    [
+        (GB, 0.08, 0.0, 24.0, 3.0),
+        (GB, 0.05, 0.3, 24.0, 48.0),
+        (GB, 0.3, 0.8, 24.0, 3.0),
+        (FGM, 0.1, 0.1, 24.0, 3.0),
+        (FGM, 0.3, -0.6, 24.0, 48.0),
+    ],
+)
+def test_bundle_second_partials_match_fd_of_gradient(family, theta, vt, big_g, s):
+    bundle = alpha_bundle(ModelParams(family, theta, vt), StudyDesign(big_g, s))
+
+    def grad(th, v):
+        return np.array(_alpha_and_grad(family, th, v, big_g, s)[1:])
+
+    h_t, h_v = 1e-5 * theta, 1e-5
+    col_t = (grad(theta + h_t, vt) - grad(theta - h_t, vt)) / (2.0 * h_t)
+    col_v = (grad(theta, vt + h_v) - grad(theta, vt - h_v)) / (2.0 * h_v)
+    assert bundle.d2_theta_theta == pytest.approx(col_t[0], rel=1e-6)
+    assert bundle.d2_theta_vartheta == pytest.approx(col_t[1], rel=1e-6)
+    assert bundle.d2_theta_vartheta == pytest.approx(col_v[0], rel=1e-6)
+    assert bundle.d2_vartheta_vartheta == pytest.approx(col_v[1], rel=1e-6, abs=1e-12)
