@@ -1,16 +1,20 @@
 """Profile-likelihood maximization over the parameter box.
 
 ``fit`` maximizes the profile objective l_p(theta, vartheta) =
-sum_j log f - M log alpha with its analytic gradient (the summed profile
-score) using a projected quasi-Newton method (L-BFGS-B) from a 3x3
-multi-start grid, then recovers the profiled integer n and the plug-in
-Fisher information / covariance.  The Gumbel-Barnett box has the
-independence boundary vartheta = 0 as its lower edge; maximizers landing
-there (or within the snap tolerance) are clamped to exactly 0 and
-flagged, since the boundary-mixture asymptotics split on that event.
-On that face theta is re-solved by the restricted fit's own solve, so a
-boundary estimate is the restricted estimate plus the KKT sign check
-that no ascent leads into vartheta > 0.
+sum_j log f - M log alpha by one projected Newton solve on its exact
+gradient (the summed profile score) and Hessian, started from the
+exponential MLE that ignores truncation, then recovers the profiled
+integer n and the plug-in Fisher information / covariance.  The
+Gumbel-Barnett box has the independence boundary vartheta = 0 as its
+lower edge; maximizers landing there (or within the snap tolerance) are
+clamped to exactly 0 and flagged, since the boundary-mixture asymptotics
+split on that event.  On that face theta is re-solved by the restricted
+fit's own solve, so a boundary estimate is the restricted estimate plus
+the KKT sign check that no ascent leads into vartheta > 0.
+
+Convergence is one projected-gradient test: every free coordinate of
+the summed score is small, and every coordinate on a bound of the box
+points out of it.
 
 ``fit_restricted`` pins vartheta = 0 and maximizes over theta alone,
 which is the estimator under independent truncation.
@@ -18,12 +22,10 @@ which is the estimator under independent truncation.
 
 from __future__ import annotations
 
-import ctypes
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .copula import (
     EPS_THETA,
@@ -35,32 +37,34 @@ from .copula import (
 from .errors import DataError
 from .likelihood import _obs_terms, log_likelihood, profile_n
 from .sampling import TruncatedSample
-from .selection import _alpha_and_grad, _alpha_and_hess, alpha
+from .selection import _alpha_and_grad, alpha
 
 __all__ = ["FitOptions", "FitResult", "fit", "fit_restricted", "fisher_info_hat"]
 
-_GB_VARTHETA_STARTS = (1e-3, 0.3, 0.7)
-_FGM_VARTHETA_STARTS = (-0.5, 0.0, 0.5)
+# vartheta at the start of the two-parameter solve; theta starts at the
+# exponential MLE M / sum(x).
+_VARTHETA_START = {CopulaFamily.GUMBEL_BARNETT: 0.01, CopulaFamily.FGM: 0.0}
+# The face vartheta = 0 as a box; ``_solve_face`` also holds vartheta there.
+_FACE_BOX = (np.array([EPS_THETA, 0.0]), np.array([1.0 / EPS_THETA, 0.0]))
+_ARMIJO = 1e-4
+# Relative size below which a rise in -l_p is rounding, not ascent.
+_RESOLUTION = 1e-12
+_MAX_HALVINGS = 30
 
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Optimizer options; defaults implement the documented multi-start.
+    """Solver options.
 
-    theta starts are ``naive * theta_factors`` with naive = M / sum(x),
-    the exponential MLE that ignores truncation; vartheta starts default
-    to a family-specific low/mid/high triple (3x3 grid in total).
-    Convergence requires ||sum psi||_inf <= gtol_scale * M or a
-    vanishing step, certified by a freshly restarted optimizer moving
-    at most step_tol.  Estimates with vartheta below snap_tol are
-    clamped to the boundary, where theta is re-solved on the face
-    vartheta = 0 from the restricted fit's starts.
+    The solve stops once the projected score (the free components of
+    sum psi, and those on a bound that point into the box) is at most
+    gtol_scale * M, or after max_iter Newton iterations; ``converged``
+    also needs the KKT test at ten times that tolerance.  Estimates
+    with vartheta below snap_tol are clamped to the boundary, where
+    theta is re-solved on the face vartheta = 0.
     """
 
-    theta_factors: tuple[float, ...] = (0.6, 1.0, 1.6)
-    vartheta_starts: tuple[float, ...] | None = None
     gtol_scale: float = 1e-8
-    step_tol: float = 1e-10
     max_iter: int = 500
     snap_tol: float = 1e-8
 
@@ -76,7 +80,9 @@ class FitResult:
     vartheta = 0 boundary the theta error comes from the restricted
     one-parameter information, sqrt(1/(info_hat[0,0]*n_hat)), and the
     normal-theory vartheta error is kept as a caveated reference value
-    (the boundary law is a mixture, not a normal).
+    (the boundary law is a mixture, not a normal).  ``iterations``
+    counts Newton iterations, summed over the two-parameter solve and,
+    for a boundary fit, the face solve.
     """
 
     params_hat: ModelParams
@@ -103,8 +109,9 @@ def _objective_factory(
         logf, g1, g2, *h = _obs_terms(
             family, theta, vartheta, big_g, x, t, want_hess=want_hess
         )
-        alpha_terms = _alpha_and_hess if want_hess else _alpha_and_grad
-        a, d_t, d_v, *d2 = alpha_terms(family, theta, vartheta, big_g, s)
+        a, d_t, d_v, *d2 = _alpha_and_grad(
+            family, theta, vartheta, big_g, s, want_hess=want_hess
+        )
         value = float(np.sum(logf)) - m * math.log(a)
         grad = np.array(
             [float(np.sum(g1)) - m * d_t / a, float(np.sum(g2)) - m * d_v / a]
@@ -127,119 +134,78 @@ def _inv2(mat: np.ndarray) -> np.ndarray | None:
     return inv if np.all(np.isfinite(inv)) else None
 
 
-# L-BFGS-B's LAPACK triangular solves hand even 2x2 systems to the OpenBLAS
-# thread pool it links, whose worker then spins beside the caller.  ``_lbfgsb``
-# keeps them on the calling thread; with another BLAS this is a no-op.
-try:
-    from scipy.optimize import _lbfgsb as _lbfgsb_ext
-
-    _set_blas_threads = ctypes.CDLL(_lbfgsb_ext.__file__).openblas_set_num_threads_local
-except (ImportError, OSError, AttributeError):
-    _set_blas_threads = int
+def _held(grad, z, lo, hi, hold_vartheta: bool) -> np.ndarray:
+    """Coordinates no feasible step can move downhill: on a bound with the
+    gradient of -l_p pushing outward, and vartheta when it is held."""
+    held = ((z <= lo) & (grad > 0.0)) | ((z >= hi) & (grad < 0.0))
+    held[1] |= hold_vartheta
+    return held
 
 
-def _lbfgsb(neg_lp, z0: np.ndarray, bounds, options: FitOptions, m: int):
-    saved = _set_blas_threads(1)
-    try:
-        return minimize(
-            neg_lp, z0, jac=True, method="L-BFGS-B", bounds=bounds,
-            options={
-                "maxiter": options.max_iter,
-                "ftol": 1e-15,
-                "gtol": options.gtol_scale * max(m, 1),
-            },
-        )
-    finally:
-        _set_blas_threads(saved)
+def _projected_size(grad, z, lo, hi, hold_vartheta: bool) -> float:
+    """Max-norm of the projected gradient of -l_p (zero on held coordinates)."""
+    free = ~_held(grad, z, lo, hi, hold_vartheta)
+    return float(np.max(np.abs(grad[free]), initial=0.0))
 
 
-def _run_starts(neg_lp, starts, bounds, options: FitOptions, m: int):
-    best = None
-    for z0 in starts:
-        res = _lbfgsb(neg_lp, np.asarray(z0, dtype=float), bounds, options, m)
-        cand = (float(res.fun), res.x.copy(), int(res.nit), bool(res.success))
-        if best is None:
-            best = cand
-            continue
-        # Lower objective wins; near-ties go to the smaller vartheta.
-        tol = 1e-9 * (1.0 + abs(best[0]))
-        if cand[0] < best[0] - tol or (
-            abs(cand[0] - best[0]) <= tol and cand[1][1] < best[1][1]
-        ):
-            best = cand
-    # Restart from the winner with fresh curvature memory.  Either the
-    # restart polishes the gradient below tolerance, or it cannot move
-    # at all, which certifies the vanishing-step convergence criterion:
-    # the tie rule may select a start that stopped on the
-    # relative-decrease test with gradient between the two tolerances.
-    res = _lbfgsb(neg_lp, best[1], bounds, options, m)
-    step_vanished = float(np.max(np.abs(res.x - best[1]))) <= options.step_tol
-    success = bool(res.success) or best[3]
-    return (float(res.fun), res.x.copy(), best[2] + int(res.nit), success, step_vanished)
+def minimize(
+    neg_lp, z0, lo, hi, m: int, options: FitOptions, hold_vartheta: bool = False
+):
+    """Minimize -l_p over the box [lo, hi] by projected Newton steps.
 
-
-def _clip_starts(raw, bounds):
-    lo, hi = np.array(bounds, dtype=float).T
-    return [np.clip(z0, lo, hi) for z0 in raw]
-
-
-def _newton_polish(
-    neg_lp, z: np.ndarray, bounds, options: FitOptions, m: int,
-    free_vartheta: bool = True,
-) -> np.ndarray:
-    """Drive the analytic gradient to tolerance by damped Newton steps.
-
-    Line-search methods stall once objective differences drop below
-    float resolution, which on badly scaled samples leaves the gradient
-    an order of magnitude above tolerance.  Stepping on the gradient
-    root with the exact Hessian of l_p needs no resolvable objective
-    decrease.  Steps larger than the polish radius mean the point is not
-    near a stationary one, and the loop exits early.
+    Each iteration holds the coordinates ``_held`` names, steps with the
+    exact Hessian on the free block (a diagonally scaled gradient step
+    where that block is not positive definite) and backtracks along the
+    projection onto the box (Bertsekas 1982).  A trial point is accepted
+    on the Armijo rule, or, where objective differences fall below float
+    resolution near the optimum and a line search would stall, when it
+    shrinks the projected gradient.  Stops when the projected gradient
+    is at most gtol_scale * M.  Returns (z, iterations, converged).
     """
-    lo, hi = np.array(bounds, dtype=float).T
-    target = options.gtol_scale * max(m, 1)
-    z = z.copy()
-    for _ in range(5):
-        psi = -neg_lp(z)[1]
-        if not free_vartheta:
-            psi[1] = 0.0
-        if float(np.max(np.abs(psi))) <= target:
-            break
-        hess = -neg_lp(z, want_hess=True)[2]
-        if not free_vartheta:  # on the face only theta moves
-            hess = np.diag([hess[0, 0], 1.0])
-        inv = _inv2(hess)
-        if inv is None:
-            break
-        delta = -np.sum(inv * psi, axis=1)
-        if not np.all(np.isfinite(delta)) or np.max(np.abs(delta)) > 1e-3 * (
-            1.0 + float(np.max(np.abs(z)))
-        ):
-            break
-        z_new = np.clip(z + delta, lo, hi)
-        if np.array_equal(z_new, z):
-            break
-        z = z_new
-    return z
+    tol = options.gtol_scale * max(m, 1)
+    z = np.clip(np.asarray(z0, dtype=float), lo, hi)
+    f, grad, hess = neg_lp(z, want_hess=True)
+    size = _projected_size(grad, z, lo, hi, hold_vartheta)
+    for nit in range(options.max_iter):
+        if size <= tol:
+            return z, nit, True
+        free = ~_held(grad, z, lo, hi, hold_vartheta)
+        pg = np.where(free, grad, 0.0)
+        block = np.where(np.outer(free, free), hess, np.eye(2))
+        det = block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
+        inv = _inv2(block) if block[0, 0] > 0.0 and det > 0.0 else None
+        if inv is not None:
+            step = -np.sum(inv * pg, axis=1)
+        else:
+            scale = np.abs(np.diag(block))
+            step = -pg / np.where((scale > 0.0) & np.isfinite(scale), scale, 1.0)
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):
+            trial = np.clip(z + t * step, lo, hi)
+            f_new, grad_new, hess_new = neg_lp(trial, want_hess=True)
+            size_new = _projected_size(grad_new, trial, lo, hi, hold_vartheta)
+            if f_new <= f + _ARMIJO * float(np.sum(grad * (trial - z))) or (
+                f_new - f <= _RESOLUTION * abs(f) and size_new < size
+            ):
+                break
+            t *= 0.5
+        else:
+            return z, nit, False
+        z, f, grad, hess, size = trial, f_new, grad_new, hess_new, size_new
+    return z, options.max_iter, size <= tol
 
 
-def _kkt_ok(
-    sum_psi: np.ndarray,
-    mode: str,
-    m: int,
-    options: FitOptions,
-    step_vanished: bool = False,
-) -> bool:
-    # Stationarity holds when the gradient is small or, per the
-    # step-tolerance alternative, when a restarted optimizer could not
-    # move; the boundary sign condition sum(psi_2) <= 0 is never waived
-    # because it discriminates the two asymptotic regimes.
+def _kkt_ok(grad, z, lo, hi, m: int, options: FitOptions, hold_vartheta: bool) -> bool:
+    """Projected-gradient KKT test at tolerance 10 * gtol_scale * M.
+
+    In score terms (sum psi = -grad): a free coordinate needs
+    |sum psi_i| <= tol, and one on a bound needs sum psi_i pointing out
+    of the box within tol.  At vartheta = 0 that is the boundary sign
+    condition sum psi_2 <= tol, which is never waived because it splits
+    the two asymptotic regimes.
+    """
     tol = 10.0 * options.gtol_scale * max(m, 1)
-    if mode == "boundary":
-        return (abs(sum_psi[0]) <= tol or step_vanished) and sum_psi[1] <= tol
-    if mode == "theta_only":
-        return abs(sum_psi[0]) <= tol or step_vanished
-    return float(np.max(np.abs(sum_psi))) <= tol or step_vanished
+    return _projected_size(grad, z, lo, hi, hold_vartheta) <= tol
 
 
 def _finalize(
@@ -249,16 +215,17 @@ def _finalize(
     nit: int,
     opt_success: bool,
     at_boundary: bool,
-    kkt_mode: str,
     neg_lp,
     options: FitOptions,
-    step_vanished: bool = False,
+    box: tuple[np.ndarray, np.ndarray],
+    hold_vartheta: bool = False,
 ) -> FitResult:
     params_hat = ModelParams(family, float(z[0]), float(z[1]))
-    _, grad_neg = neg_lp(np.array([params_hat.theta, params_hat.vartheta]))
+    z = np.array([params_hat.theta, params_hat.vartheta])
+    _, grad = neg_lp(z)
     converged = bool(
-        (opt_success or step_vanished)
-        and _kkt_ok(-grad_neg, kkt_mode, sample.m, options, step_vanished)
+        opt_success
+        and _kkt_ok(grad, z, *box, sample.m, options, hold_vartheta)
     )
     a_hat = alpha(params_hat, sample.design)
     n_hat = profile_n(sample.m, a_hat)
@@ -284,32 +251,17 @@ def _finalize(
     )
 
 
-def _snap(z: np.ndarray, family: CopulaFamily, options: FitOptions):
-    boundary = bool(
-        family is CopulaFamily.GUMBEL_BARNETT and z[1] < options.snap_tol
-    )
-    if boundary:
-        z = np.array([z[0], 0.0])
-    return z, boundary
-
-
 def _solve_face(neg_lp, naive: float, options: FitOptions, m: int):
-    """Maximize over theta on the face vartheta = 0.
+    """Maximize over theta on the face vartheta = 0, from (naive, 0).
 
     This is the restricted fit's solve.  ``fit`` reuses it whenever its
-    estimate snaps to the boundary: the two-parameter optimizer stops
-    somewhere near the face, not at the theta-stationary point on it,
-    and the boundary KKT check needs the latter.
+    estimate snaps to the boundary, so a boundary theta_hat is the
+    restricted theta_hat, and the boundary KKT check runs at the
+    theta-stationary point on the face.
     """
-    bounds = [(EPS_THETA, 1.0 / EPS_THETA), (0.0, 0.0)]
-    starts = _clip_starts(
-        [(naive * f, 0.0) for f in options.theta_factors], bounds
+    return minimize(
+        neg_lp, np.array([naive, 0.0]), *_FACE_BOX, m, options, hold_vartheta=True
     )
-    _, z, nit, success, step_vanished = _run_starts(
-        neg_lp, starts, bounds, options, m
-    )
-    z = _newton_polish(neg_lp, z, bounds, options, m, free_vartheta=False)
-    return np.array([z[0], 0.0]), nit, success, step_vanished
 
 
 def fit(
@@ -325,59 +277,22 @@ def fit(
     if float(np.ptp(x)) == 0.0 and float(np.ptp(t)) == 0.0:
         raise DataError("all observations identical; likelihood is degenerate")
     vt_lo, vt_hi = vartheta_range(family)
-    bounds = [(EPS_THETA, 1.0 / EPS_THETA), (vt_lo, vt_hi)]
+    box = (np.array([EPS_THETA, vt_lo]), np.array([1.0 / EPS_THETA, vt_hi]))
     naive = sample.m / float(np.sum(x))
-    vt_starts = options.vartheta_starts
-    if vt_starts is None:
-        vt_starts = (
-            _GB_VARTHETA_STARTS
-            if family is CopulaFamily.GUMBEL_BARNETT
-            else _FGM_VARTHETA_STARTS
-        )
-    starts = _clip_starts(
-        [(naive * f, v) for f in options.theta_factors for v in vt_starts], bounds
-    )
     neg_lp = _objective_factory(family, sample.design, x, t)
-    _, z, nit, success, step_vanished = _run_starts(
-        neg_lp, starts, bounds, options, sample.m
+    z, nit, success = minimize(
+        neg_lp, np.array([naive, _VARTHETA_START[family]]), *box, sample.m, options
     )
-    z = _newton_polish(neg_lp, z, bounds, options, sample.m)
-
-    def settle(z, nit, success, step_vanished) -> FitResult:
-        z, at_boundary = _snap(z, family, options)
-        if at_boundary:
-            z, face_nit, success, step_vanished = _solve_face(
-                neg_lp, naive, options, sample.m
-            )
-            nit += face_nit
-        kkt_mode = "boundary" if at_boundary else "interior"
-        return _finalize(
-            family, sample, z, nit, success, at_boundary, kkt_mode, neg_lp,
-            options, step_vanished,
-        )
-
-    result = settle(z, nit, success, step_vanished)
-    if result.converged:
-        return result
-
-    # Derivative-free fallback polish from the best point; a quadratic
-    # penalty keeps the simplex inside the box.
-    lo, hi = np.array(bounds, dtype=float).T
-
-    def penalized(q: np.ndarray) -> float:
-        qc = np.clip(q, lo, hi)
-        return neg_lp(qc)[0] + 1e8 * float(np.sum((q - qc) ** 2))
-
-    res = minimize(
-        penalized,
-        np.array([result.params_hat.theta, result.params_hat.vartheta]),
-        method="Nelder-Mead",
-        options={"maxiter": 400, "xatol": 1e-10, "fatol": 1e-12},
+    # Snap to the boundary: the face solve returns vartheta = 0 exactly.
+    at_boundary = bool(
+        family is CopulaFamily.GUMBEL_BARNETT and z[1] < options.snap_tol
     )
-    polished = settle(
-        np.clip(res.x, lo, hi), nit + int(res.nit), bool(res.success), False
+    if at_boundary:
+        z, face_nit, success = _solve_face(neg_lp, naive, options, sample.m)
+        nit += face_nit
+    return _finalize(
+        family, sample, z, nit, success, at_boundary, neg_lp, options, box
     )
-    return polished if polished.log_lik >= result.log_lik else result
 
 
 def fit_restricted(sample: TruncatedSample, family: CopulaFamily) -> FitResult:
@@ -388,12 +303,12 @@ def fit_restricted(sample: TruncatedSample, family: CopulaFamily) -> FitResult:
     x, t = sample.x_arr, sample.t_arr
     naive = sample.m / float(np.sum(x))
     neg_lp = _objective_factory(family, sample.design, x, t)
-    z, nit, success, step_vanished = _solve_face(neg_lp, naive, options, sample.m)
+    z, nit, success = _solve_face(neg_lp, naive, options, sample.m)
     # vartheta = 0 is imposed, not found, so the boundary flag stays off
     # and only theta-stationarity is required of the KKT check.
     return _finalize(
-        family, sample, z, nit, success, False, "theta_only", neg_lp, options,
-        step_vanished,
+        family, sample, z, nit, success, False, neg_lp, options, _FACE_BOX,
+        hold_vartheta=True,
     )
 
 

@@ -23,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import dblquad
 
 from . import _quad
 from .copula import CopulaFamily, ModelParams, StudyDesign, _density, _gb_pieces
@@ -74,6 +73,8 @@ def _gb_fixed(theta, vartheta, big_g, s, order: int) -> tuple[float, ...]:
 
 
 def _gb_adaptive(theta, vartheta, big_g, s) -> float:
+    from scipy.integrate import dblquad  # only this cross-check needs SciPy
+
     def integrand(x, t):
         p = _gb_pieces(theta, vartheta, x, np.log1p(-t / big_g), 0)
         return float(_density(p, theta, big_g, 0)[0])
@@ -186,23 +187,23 @@ def alpha(params: ModelParams, design: StudyDesign, *, method: str = "fixed") ->
 
 
 def _alpha_and_grad(
-    family: CopulaFamily, theta: float, vartheta: float, big_g: float, s: float
-) -> tuple[float, float, float]:
+    family: CopulaFamily,
+    theta: float,
+    vartheta: float,
+    big_g: float,
+    s: float,
+    want_hess: bool = False,
+) -> tuple[float, ...]:
     """(alpha, dalpha/dtheta, dalpha/dvartheta) without box validation.
 
-    The optimizer hot path: one fused grid pass for Gumbel-Barnett,
-    closed forms for FGM.
+    ``want_hess`` appends the three second partials, giving the six
+    ``AlphaBundle`` fields in order.  The optimizer hot path: one fused
+    grid pass for Gumbel-Barnett, closed forms for FGM.
     """
     if family is CopulaFamily.FGM:
-        return _fgm_chain(theta, vartheta, big_g, s)[:3]
-    return _gb_fixed(theta, vartheta, big_g, s, 1)
-
-
-def _alpha_and_hess(family, theta, vartheta, big_g, s) -> tuple[float, ...]:
-    """The six ``AlphaBundle`` fields in order, without box validation."""
-    if family is CopulaFamily.FGM:
-        return _fgm_chain(theta, vartheta, big_g, s)
-    return _gb_fixed(theta, vartheta, big_g, s, 2)
+        terms = _fgm_chain(theta, vartheta, big_g, s)
+        return terms if want_hess else terms[:3]
+    return _gb_fixed(theta, vartheta, big_g, s, 2 if want_hess else 1)
 
 
 def alpha_bundle(params: ModelParams, design: StudyDesign) -> AlphaBundle:
@@ -213,4 +214,6 @@ def alpha_bundle(params: ModelParams, design: StudyDesign) -> AlphaBundle:
     is valid on the bounded D) in one pass over the tensor grid.
     """
     th, vt = params.theta, params.vartheta
-    return AlphaBundle(*_alpha_and_hess(params.family, th, vt, design.big_g, design.s))
+    return AlphaBundle(
+        *_alpha_and_grad(params.family, th, vt, design.big_g, design.s, want_hess=True)
+    )

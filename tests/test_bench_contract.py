@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from truncdep import CopulaFamily, ModelParams, StudyDesign, simulate_truncated
-from truncdep.estimation import fit
+from truncdep.estimation import fit, fit_restricted
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -33,6 +33,7 @@ def test_tracer_hooks_exist_and_see_a_fit():
     try:
         assert tracer.install() == []
         fit(sample, CopulaFamily.GUMBEL_BARNETT)
+        fit_restricted(sample, CopulaFamily.GUMBEL_BARNETT)
     finally:
         tracer.uninstall()
     for name in (
@@ -40,5 +41,6 @@ def test_tracer_hooks_exist_and_see_a_fit():
         "selection.alpha.gb",
         "estimation.objective",
         "estimation.minimize",
+        "estimation.face_solve",
     ):
         assert tracer.name.count(name) >= 1, name

@@ -1,10 +1,16 @@
 """Profile-likelihood fitting and information estimation."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import lbfgsb_multistart_oracle
 
+import truncdep
 from truncdep import (
     CopulaFamily,
     DataError,
@@ -16,7 +22,9 @@ from truncdep import (
     fit,
     fit_restricted,
     simulate_truncated,
+    vartheta_range,
 )
+from truncdep.copula import EPS_THETA
 from truncdep.estimation import _inv2, _objective_factory
 from truncdep.likelihood import _obs_terms
 from truncdep.selection import _alpha_and_grad
@@ -46,16 +54,32 @@ def test_fit_recovers_fgm(fgm_sample):
     assert abs(result.params_hat.vartheta - 0.4) <= 3.0 * result.se[1]
 
 
-def test_fit_single_start_agrees_with_multistart(gb_sample):
-    _, _, sample = gb_sample
-    base = fit(sample, GB)
-    single = fit(
-        sample, GB, FitOptions(theta_factors=(1.0,), vartheta_starts=(0.3,))
+def _independent_boundary_sample():
+    params0 = ModelParams(GB, 0.05, 0.0)
+    return simulate_truncated(params0, DESIGN, 30_000, np.random.default_rng(41))
+
+
+@pytest.mark.parametrize("case", ["gb_interior", "gb_boundary", "fgm"])
+def test_fit_matches_multistart_lbfgsb_reference(case, request):
+    if case == "gb_boundary":
+        family, sample = GB, _independent_boundary_sample()
+    else:
+        family = GB if case == "gb_interior" else FGM
+        sample = request.getfixturevalue("gb_sample" if family is GB else "fgm_sample")[2]
+    x, t = sample.x_arr, sample.t_arr
+    neg_lp = _objective_factory(family, DESIGN, x, t)
+    starts = (1e-3, 0.3, 0.7) if family is GB else (-0.5, 0.0, 0.5)
+    bounds = [(EPS_THETA, 1.0 / EPS_THETA), vartheta_range(family)]
+    z_ref, lp_ref = lbfgsb_multistart_oracle(
+        neg_lp, sample.m / float(np.sum(x)), starts, bounds, 1e-8 * sample.m
     )
-    assert single.params_hat.theta == pytest.approx(base.params_hat.theta, abs=1e-7)
-    assert single.params_hat.vartheta == pytest.approx(
-        base.params_hat.vartheta, abs=1e-6
-    )
+    result = fit(sample, family)
+    z = np.array([result.params_hat.theta, result.params_hat.vartheta])
+    assert result.converged
+    assert result.at_boundary is (case == "gb_boundary")
+    assert z[0] == pytest.approx(z_ref[0], rel=1e-6)
+    assert z[1] == pytest.approx(z_ref[1], abs=1e-6)
+    assert -neg_lp(z)[0] >= lp_ref - 1e-8
 
 
 def test_fit_restricted_pins_vartheta(gb_sample):
@@ -75,8 +99,7 @@ def test_restricted_nested_in_full(gb_sample):
 
 
 def test_fit_boundary_snap_on_independent_data():
-    params0 = ModelParams(GB, 0.05, 0.0)
-    sample = simulate_truncated(params0, DESIGN, 30_000, np.random.default_rng(41))
+    sample = _independent_boundary_sample()
     result = fit(sample, GB)
     assert result.converged
     assert result.at_boundary
@@ -106,28 +129,40 @@ def test_boundary_fit_theta_is_restricted_theta():
         assert result.log_lik >= restricted.log_lik
 
 
-def test_lbfgsb_runs_on_one_blas_thread_and_restores_the_count(gb_sample, monkeypatch):
-    # Every L-BFGS-B solve sets scipy's OpenBLAS to one thread and then
-    # hands back the count it found, so a fit leaves the count unchanged.
-    from truncdep import estimation
+def test_fit_on_upper_vartheta_bound_converges_with_outward_score():
+    # M = 47: the profile likelihood keeps rising in vartheta up to the
+    # edge of the FGM box, so the maximum sits on the upper bound and
+    # KKT needs the vartheta-score to point out of the box there.
+    params0 = ModelParams(FGM, 0.08, 0.5)
+    sample = simulate_truncated(params0, DESIGN, 500, np.random.default_rng(1001))
+    assert sample.m == 47
+    result = fit(sample, FGM)
+    assert result.converged
+    assert result.params_hat.vartheta == vartheta_range(FGM)[1]
+    z = np.array([result.params_hat.theta, result.params_hat.vartheta])
+    sum_psi = -_objective_factory(FGM, DESIGN, sample.x_arr, sample.t_arr)(z)[1]
+    assert sum_psi[1] > 0.0
+    assert abs(sum_psi[0]) <= 1e-7 * sample.m
 
-    real = estimation._set_blas_threads
-    calls = []
 
-    def record(n):
-        calls.append(n)
-        return real(n)
+def test_fit_reports_nonconvergence_when_out_of_iterations():
+    result = fit(_independent_boundary_sample(), GB, FitOptions(max_iter=1))
+    assert result.converged is False
+    assert result.iterations <= 2
 
-    before = real(1)
-    real(before)
-    monkeypatch.setattr(estimation, "_set_blas_threads", record)
-    fit(gb_sample[2], GB)
-    after = real(1)
-    real(after)
-    assert len(calls) >= 2 and len(calls) % 2 == 0
-    assert calls[0::2] == [1] * (len(calls) // 2)
-    assert calls[1::2] == [before] * (len(calls) // 2)
-    assert after == before
+
+def test_importing_the_package_loads_no_scipy():
+    code = (
+        "import sys, truncdep; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = str(Path(truncdep.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_fit_interior_on_independent_data():
