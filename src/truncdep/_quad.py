@@ -1,14 +1,14 @@
-"""Cached fixed-node quadrature grids for the selection integrals.
+"""Cached fixed-node quadrature rule for the selection integral.
 
-The selection probability integrates the joint density over the
-parallelogram D = {0 < t <= G, t <= x <= t+s}.  Substituting
-t = G*(1 - e^{-y}) maps t in (0, G) to y in (0, inf) and makes
-log(1 - t/G) = -y exact, removing the logarithmic endpoint singularity;
-the transformed integrand is entire and decays like e^{-y}, so a fixed
-Gauss-Legendre tensor rule on [0, Y_CUT] x [0, 1] converges to machine
-precision for theta*(G+s) up to roughly 60 (validated against adaptive
-and 40-digit references).  Grids depend only on the design, so they are
-cached per (big_g, s) and shared by every parameter evaluation.
+The Gumbel-Barnett selection probability averages a closed-form window
+hit probability over birth times t in (0, G).  Substituting
+t = G*(1 - e^{-y}) makes log(1 - t/G) = -y exact, removing the
+logarithmic endpoint singularity, and turns dt/G into e^{-y} dy; the
+integrand is then entire and decays like e^{-y}, so a fixed Gauss-Legendre
+rule on [0, Y_CUT] reaches machine precision for theta*(G+s) up to
+roughly 60.  It takes N_OUTER = 160 nodes: at 120 the second partials
+drifted by up to 1e-5 relative.  The rule depends only on G and is
+cached per G.
 """
 
 from __future__ import annotations
@@ -17,11 +17,10 @@ from functools import lru_cache
 
 import numpy as np
 
-# Truncation of the substituted outer variable; e^{-Y_CUT} ~ 4e-18 leaves
+# Truncation of the substituted variable; e^{-Y_CUT} ~ 4e-18 leaves
 # no mass beyond double precision.
 Y_CUT = 40.0
 N_OUTER = 160
-N_INNER = 64
 
 
 @lru_cache(maxsize=None)
@@ -33,48 +32,34 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def mapped(n: int, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped to [lo, hi]."""
-    nodes, weights = gauss_legendre(n)
-    half = 0.5 * (hi - lo)
-    return lo + half * (nodes + 1.0), half * weights
-
-
-def _build_grid(big_g: float, s: float, y_cut: float, s_cut: float):
-    y, wy = mapped(N_OUTER, 0.0, y_cut)
-    frac, wfrac = mapped(N_INNER, 0.0, 1.0)
+def _build_grid(big_g: float, y_cut: float):
+    nodes, weights = gauss_legendre(N_OUTER)
+    half = 0.5 * y_cut
+    y = half * (nodes + 1.0)
     ey = np.exp(-y)
-    t = big_g * (1.0 - ey)
-    x = t[:, None] + s_cut * frac[None, :]
-    weight = (big_g * ey * wy)[:, None] * (s_cut * wfrac)[None, :]
-    return -y, t, x, weight
+    return -y, big_g * (1.0 - ey), ey * (half * weights)
 
 
 @lru_cache(maxsize=64)
-def domain_grid(
-    big_g: float, s: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Tensor grid over D in the (y, w) variables, x = t + s*w.
+def domain_grid(big_g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Birth-time rule in the y variable on [0, Y_CUT].
 
-    Returns (L, t, x, weight) where L = log(1 - t/G) = -y is exact,
-    t has shape (N_OUTER,), x and weight have shape (N_OUTER, N_INNER),
-    and weight already contains the full Jacobian G*e^{-y}*s.
+    Returns (L, t, weight) of shape (N_OUTER,), where L = log(1 - t/G)
+    = -y is exact and weight = e^{-y} w_y already contains the Jacobian
+    of t = G*(1 - e^{-y}) divided by G.
     """
-    grid = _build_grid(big_g, s, Y_CUT, s)
+    grid = _build_grid(big_g, Y_CUT)
     for arr in grid:
         arr.setflags(write=False)
     return grid
 
 
-def domain_grid_for_rate(big_g: float, s: float, theta: float):
+def domain_grid_for_rate(big_g: float, theta: float):
     """Rate-adapted variant of ``domain_grid`` for large theta.
 
     When theta*(G+s) is large the integrand lives in a boundary layer of
-    width ~1/theta; shrinking the integration ranges to the layer (the
-    discarded tail mass is below e^{-45} relatively) restores full
-    Gauss-Legendre accuracy.  Not cached: these evaluations are rare
-    optimizer excursions.
+    width ~1/(theta*G) in y; shrinking the range to that layer restores
+    full Gauss-Legendre accuracy.  Not cached: these evaluations are
+    rare optimizer excursions.
     """
-    y_cut = min(Y_CUT, 90.0 / (theta * big_g))
-    s_cut = min(s, 45.0 / theta)
-    return _build_grid(big_g, s, y_cut, s_cut)
+    return _build_grid(big_g, min(Y_CUT, 90.0 / (theta * big_g)))

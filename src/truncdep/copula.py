@@ -14,8 +14,8 @@ joint density and CDF of (X, T) under the exponential-by-uniform margins,
 and Kendall's tau.
 
 Each family's log-density and its exact first and second partials are
-written once here; the likelihood, the alpha integrand and
-``joint_density`` all use them.
+written once here for the likelihood and ``joint_density``; the alpha
+integrand uses the Gumbel-Barnett survival function, written the same way.
 
 Public operations take and return Python floats and validate their
 domains.  The ``_*`` helpers are vectorized, assume interior inputs, and
@@ -266,10 +266,11 @@ def inv_cond_cdf_given_u(
 # log-density kernel of (X, T) under Exp(theta) x Unif[0, G] margins
 #
 # f = (theta/G) e^ell c: only the exponent ell and the copula-density factor
-# c depend on the family.  A pieces function returns (ell, c, d_lt, d_c,
-# h_lt, h_c), the partials of lt = ell + log(theta) and of c as (theta,
-# vartheta) pairs and (theta-theta, theta-vartheta, vartheta-vartheta)
-# triples, None above ``order``; one that vanishes identically is 0.0.
+# c depend on the family; the GB survival function is S = e^ell c.  A pieces
+# function returns (ell, c, d_lt, d_c, h_lt, h_c), the partials of
+# lt = ell + log(k0), with k0 = theta/G or 1, and of c as (theta, vartheta)
+# pairs and (theta-theta, theta-vartheta, vartheta-vartheta) triples, None
+# above ``order``; one that vanishes identically is 0.0.
 
 _HESS_INDEX = ((0, 0), (0, 1), (1, 1))
 
@@ -292,6 +293,18 @@ def _gb_pieces(theta, vartheta, x, L, order: int):
         h_c = (0.0, x * (1.0 - 2.0 * vartheta * L), -2.0 * theta * x * L)
         h = ((-1.0 / theta**2, x * L, 0.0), h_c)
     return (-theta * x * B, P, *d, *h)
+
+
+def _gb_survival_pieces(theta, vartheta, u, L, order: int):
+    """Gumbel-Barnett S(u | t) = P{X > u | T = t} at (u, L = log(1 - t/G)),
+    with ell = -theta*u*B, B = 1 - vartheta*L, and c = 1 + theta*vartheta*u."""
+    B = 1.0 - vartheta * L
+    d = h = (None, None)
+    if order >= 1:
+        d = ((-u * B, theta * u * L), (vartheta * u, theta * u))
+    if order == 2:
+        h = ((0.0, u * L, 0.0), (0.0, u, 0.0))
+    return (-theta * u * B, 1.0 + theta * vartheta * u, *d, *h)
 
 
 def _fgm_pieces(theta, vartheta, x, q, order: int):
@@ -341,15 +354,15 @@ def _log_density(pieces, theta: float, big_g: float, order: int, want_logf=True)
     return logf, r, hess
 
 
-def _density(pieces, theta: float, big_g: float, order: int):
-    """(f, gradient, Hessian) of f = K c with K = (theta/G) e^ell.
+def _density(pieces, factor: float, order: int):
+    """(f, gradient, Hessian) of f = K c with K = k0 e^ell, k0 = ``factor``.
 
     grad f = K (c grad lt + grad c) and H f = K (c (H lt + grad lt grad lt')
     + H c + grad lt grad c' + grad c grad lt'), which divide by nothing.
     """
     ell, c, d_lt, d_c, h_lt, h_c = pieces
     k = np.exp(ell)
-    k *= theta / big_g
+    k *= factor
     f = k * c
     if order == 0:
         return f, None, None
@@ -388,7 +401,7 @@ def joint_density(params: ModelParams, design: StudyDesign, x: float, t: float) 
         raise InvariantError(
             f"{params.family.value} copula-density factor {c} <= 0 at x={x}, t={t}"
         )
-    return float(_density(p, params.theta, design.big_g, 0)[0])
+    return float(_density(p, params.theta / design.big_g, 0)[0])
 
 
 def joint_cdf(params: ModelParams, design: StudyDesign, x: float, t: float) -> float:

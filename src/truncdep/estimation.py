@@ -160,7 +160,8 @@ def minimize(
     on the Armijo rule, or, where objective differences fall below float
     resolution near the optimum and a line search would stall, when it
     shrinks the projected gradient.  Stops when the projected gradient
-    is at most gtol_scale * M.  Returns (z, iterations, converged).
+    is at most gtol_scale * M.  Returns (z, grad, iterations, converged),
+    with grad the gradient of -l_p evaluated at z.
     """
     tol = options.gtol_scale * max(m, 1)
     z = np.clip(np.asarray(z0, dtype=float), lo, hi)
@@ -168,7 +169,7 @@ def minimize(
     size = _projected_size(grad, z, lo, hi, hold_vartheta)
     for nit in range(options.max_iter):
         if size <= tol:
-            return z, nit, True
+            return z, grad, nit, True
         free = ~_held(grad, z, lo, hi, hold_vartheta)
         pg = np.where(free, grad, 0.0)
         block = np.where(np.outer(free, free), hess, np.eye(2))
@@ -190,9 +191,9 @@ def minimize(
                 break
             t *= 0.5
         else:
-            return z, nit, False
+            return z, grad, nit, False
         z, f, grad, hess, size = trial, f_new, grad_new, hess_new, size_new
-    return z, options.max_iter, size <= tol
+    return z, grad, options.max_iter, size <= tol
 
 
 def _kkt_ok(grad, z, lo, hi, m: int, options: FitOptions, hold_vartheta: bool) -> bool:
@@ -212,17 +213,15 @@ def _finalize(
     family: CopulaFamily,
     sample: TruncatedSample,
     z: np.ndarray,
+    grad: np.ndarray,
     nit: int,
     opt_success: bool,
     at_boundary: bool,
-    neg_lp,
     options: FitOptions,
     box: tuple[np.ndarray, np.ndarray],
     hold_vartheta: bool = False,
 ) -> FitResult:
     params_hat = ModelParams(family, float(z[0]), float(z[1]))
-    z = np.array([params_hat.theta, params_hat.vartheta])
-    _, grad = neg_lp(z)
     converged = bool(
         opt_success
         and _kkt_ok(grad, z, *box, sample.m, options, hold_vartheta)
@@ -280,7 +279,7 @@ def fit(
     box = (np.array([EPS_THETA, vt_lo]), np.array([1.0 / EPS_THETA, vt_hi]))
     naive = sample.m / float(np.sum(x))
     neg_lp = _objective_factory(family, sample.design, x, t)
-    z, nit, success = minimize(
+    z, grad, nit, success = minimize(
         neg_lp, np.array([naive, _VARTHETA_START[family]]), *box, sample.m, options
     )
     # Snap to the boundary: the face solve returns vartheta = 0 exactly.
@@ -288,11 +287,9 @@ def fit(
         family is CopulaFamily.GUMBEL_BARNETT and z[1] < options.snap_tol
     )
     if at_boundary:
-        z, face_nit, success = _solve_face(neg_lp, naive, options, sample.m)
+        z, grad, face_nit, success = _solve_face(neg_lp, naive, options, sample.m)
         nit += face_nit
-    return _finalize(
-        family, sample, z, nit, success, at_boundary, neg_lp, options, box
-    )
+    return _finalize(family, sample, z, grad, nit, success, at_boundary, options, box)
 
 
 def fit_restricted(sample: TruncatedSample, family: CopulaFamily) -> FitResult:
@@ -303,11 +300,11 @@ def fit_restricted(sample: TruncatedSample, family: CopulaFamily) -> FitResult:
     x, t = sample.x_arr, sample.t_arr
     naive = sample.m / float(np.sum(x))
     neg_lp = _objective_factory(family, sample.design, x, t)
-    z, nit, success = _solve_face(neg_lp, naive, options, sample.m)
+    z, grad, nit, success = _solve_face(neg_lp, naive, options, sample.m)
     # vartheta = 0 is imposed, not found, so the boundary flag stays off
     # and only theta-stationarity is required of the KKT check.
     return _finalize(
-        family, sample, z, nit, success, False, neg_lp, options, _FACE_BOX,
+        family, sample, z, grad, nit, success, False, options, _FACE_BOX,
         hold_vartheta=True,
     )
 

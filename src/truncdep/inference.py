@@ -25,7 +25,7 @@ import numpy as np
 
 from .copula import CopulaFamily, ModelParams, StudyDesign
 from .errors import DomainError, InvariantError
-from .estimation import FitResult, _inv2, fisher_info_hat, fit_restricted
+from .estimation import FitResult, _inv2, fit_restricted
 from .sampling import TruncatedSample
 
 __all__ = [
@@ -107,8 +107,7 @@ def wald_boundary_test(
     if fit.at_boundary:
         info0 = fit.info_hat
     else:
-        restricted = fit_restricted(sample, CopulaFamily.GUMBEL_BARNETT)
-        info0 = fisher_info_hat(restricted.params_hat, sample)
+        info0 = fit_restricted(sample, CopulaFamily.GUMBEL_BARNETT).info_hat
     sigma = _sigma_from_info(info0)
     vt_hat = fit.params_hat.vartheta
     if vt_hat == 0.0:

@@ -6,14 +6,14 @@ D = {0 < t <= G, t <= x <= t+s}.  The probability alpha of that event
 normalizes the observed-data likelihood, and its first two derivative
 orders feed the score and information calculations.
 
-Gumbel-Barnett has no closed form, so alpha is integrated numerically:
-the production path is the fixed tensor rule of ``_quad`` (machine
-precision, roughly 300x faster than adaptive quadrature -- the fit hot
-path evaluates alpha thousands of times), with a rate-adapted grid once
-theta*(G+s) leaves the cached rule's validated accuracy range.  Iterated
-adaptive quadrature is kept as an explicit method for cross-validation.
-The first and second partials integrate the exact partials of the
-density, from the log-density kernel in ``copula``, on the same grid.
+The Gumbel-Barnett alpha has no closed form, but its lifetime integral
+does: alpha = (1/G) int_0^G [S(t | t) - S(t+s | t)] dt with the
+conditional survival function S(u | t) = P{X > u | T = t}.  The
+birth-time average runs on the fixed 160-node rule of ``_quad`` (machine
+precision; the fit hot path evaluates alpha thousands of times), with a
+rate-adapted rule once theta*(G+s) leaves the cached rule's validated
+accuracy range.  The first and second partials integrate the exact
+partials of S, from the survival pieces in ``copula``, on the same nodes.
 FGM uses the closed three-term formula and fully analytic derivatives.
 """
 
@@ -25,11 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _quad
-from .copula import CopulaFamily, ModelParams, StudyDesign, _density, _gb_pieces
-from .errors import DomainError, InvariantError
+from .copula import CopulaFamily, ModelParams, StudyDesign, _density, _gb_survival_pieces
+from .errors import InvariantError
 
-# Above this value of theta*(G+s) the cached grid loses accuracy (the
-# integrand's boundary layer gets too thin); switch to the rate-adapted grid.
+# Above this value of theta*(G+s) the cached rule loses accuracy (the
+# integrand's boundary layer gets too thin); switch to the rate-adapted rule.
 _FIXED_LIMIT = 60.0
 
 
@@ -53,35 +53,24 @@ class AlphaBundle:
 
 
 # ---------------------------------------------------------------------------
-# Gumbel-Barnett: numeric integration over D
+# Gumbel-Barnett: the survival difference averaged over birth times
 
 
 def _gb_fixed(theta, vartheta, big_g, s, order: int) -> tuple[float, ...]:
     """The first 1, 3 or 6 ``AlphaBundle`` fields for order 0, 1 or 2.
 
-    Sums on the tensor grid, whose L = log(1 - t/G) is exact.  Parameters
+    Sums w * (near - far) on the birth-time rule, with near the survival
+    function S (or a partial) at u = t and far at u = t + s.  Parameters
     are not validated: the integrand extends smoothly just outside the box.
     """
     if theta * (big_g + s) <= _FIXED_LIMIT:
-        L, _, x, w = _quad.domain_grid(big_g, s)
+        L, t, w = _quad.domain_grid(big_g)
     else:
-        L, _, x, w = _quad.domain_grid_for_rate(big_g, s, theta)
-    f, grad, hess = _density(
-        _gb_pieces(theta, vartheta, x, L[:, None], order), theta, big_g, order
-    )
-    return tuple(float(np.sum(v * w)) for v in (f, *(grad or ()), *(hess or ())))
-
-
-def _gb_adaptive(theta, vartheta, big_g, s) -> float:
-    from scipy.integrate import dblquad  # only this cross-check needs SciPy
-
-    def integrand(x, t):
-        p = _gb_pieces(theta, vartheta, x, np.log1p(-t / big_g), 0)
-        return float(_density(p, theta, big_g, 0)[0])
-
-    return dblquad(
-        integrand, 0.0, big_g, lambda t: t, lambda t: t + s, epsabs=1e-10, epsrel=1e-10
-    )[0]
+        L, t, w = _quad.domain_grid_for_rate(big_g, theta)
+    pieces = _gb_survival_pieces(theta, vartheta, np.stack((t, t + s)), L, order)
+    f, grad, hess = _density(pieces, 1.0, order)
+    fields = (f, *(grad or ()), *(hess or ()))
+    return tuple(float(np.sum(w * (v[0] - v[1]))) for v in fields)
 
 
 # ---------------------------------------------------------------------------
@@ -165,22 +154,17 @@ def _fgm_chain(theta, vartheta, big_g, s):
 # public operations
 
 
-def alpha(params: ModelParams, design: StudyDesign, *, method: str = "fixed") -> float:
+def alpha(params: ModelParams, design: StudyDesign) -> float:
     """Selection probability alpha(theta, vartheta) in (0, 1).
 
-    ``method`` applies to Gumbel-Barnett only: "fixed" (tensor rule,
-    the production path) or "adaptive" (iterated adaptive quadrature,
-    absolute tolerance 1e-10).  The two agree to better than 1e-10.
+    FGM is closed form; Gumbel-Barnett averages the closed-form window
+    hit probability over birth times on the fixed 160-node rule.
     """
     th, vt, big_g, s = params.theta, params.vartheta, design.big_g, design.s
     if params.family is CopulaFamily.FGM:
         value = _fgm_alpha(th, vt, big_g, s)
-    elif method == "fixed":
-        (value,) = _gb_fixed(th, vt, big_g, s, 0)
-    elif method == "adaptive":
-        value = _gb_adaptive(th, vt, big_g, s)
     else:
-        raise DomainError(f"unknown quadrature method {method!r}")
+        (value,) = _gb_fixed(th, vt, big_g, s, 0)
     if not 0.0 < value < 1.0:
         raise InvariantError(f"alpha={value!r} outside (0,1)")
     return value
@@ -197,8 +181,8 @@ def _alpha_and_grad(
     """(alpha, dalpha/dtheta, dalpha/dvartheta) without box validation.
 
     ``want_hess`` appends the three second partials, giving the six
-    ``AlphaBundle`` fields in order.  The optimizer hot path: one fused
-    grid pass for Gumbel-Barnett, closed forms for FGM.
+    ``AlphaBundle`` fields in order.  The optimizer hot path: one pass
+    over the birth-time rule for Gumbel-Barnett, closed forms for FGM.
     """
     if family is CopulaFamily.FGM:
         terms = _fgm_chain(theta, vartheta, big_g, s)
@@ -210,8 +194,9 @@ def alpha_bundle(params: ModelParams, design: StudyDesign) -> AlphaBundle:
     """Alpha with first and second partials in (theta, vartheta).
 
     FGM is fully analytic.  For Gumbel-Barnett every partial integrates
-    the exact partial of the density (differentiation under the integral
-    is valid on the bounded D) in one pass over the tensor grid.
+    the exact partial of the survival difference (differentiation under
+    the integral is valid: the integrand and its partials are bounded by
+    integrable multiples of e^{-y}) in one pass over the birth-time rule.
     """
     th, vt = params.theta, params.vartheta
     return AlphaBundle(

@@ -20,6 +20,7 @@ from truncdep import (
     kendall_tau,
     vartheta_range,
 )
+from truncdep.copula import _density, _gb_cond_cdf, _gb_survival_pieces
 
 from oracles import (
     central_diff,
@@ -236,6 +237,19 @@ def test_density_fgm_matches_copula_times_margins(x, t, vt):
     assert joint_density(params, design, x, t) == pytest.approx(
         latent_density_oracle(params, design, x, t), rel=1e-10
     )
+
+
+@pytest.mark.parametrize("theta", [0.001, 0.08, 5.0])
+@pytest.mark.parametrize("vt", [0.0, 0.3, 0.999])
+def test_gb_survival_pieces_are_one_minus_the_conditional_cdf(theta, vt):
+    # S(u | t) = 1 - P{X <= u | T = t} = 1 - dC/dv at (F(u), t/G), which
+    # by symmetry is _gb_cond_cdf with the roles of a and b swapped.
+    u = np.linspace(0.0, 60.0, 31)[:, None]
+    L = np.log1p(-np.linspace(0.0, 0.999, 19))[None, :]
+    pieces = _gb_survival_pieces(theta, vt, u, L, 0)
+    survival = _density(pieces, 1.0, 0)[0]
+    expected = 1.0 - _gb_cond_cdf(L, -theta * u, vt)
+    assert np.max(np.abs(survival - expected)) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

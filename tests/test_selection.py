@@ -6,8 +6,9 @@ import time
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.integrate import dblquad
 
-from truncdep import AlphaBundle, CopulaFamily, DomainError, ModelParams, StudyDesign
+from truncdep import AlphaBundle, CopulaFamily, ModelParams, StudyDesign, joint_density
 from truncdep.selection import _alpha_and_grad, alpha, alpha_bundle
 
 from oracles import alpha_oracle, fd_gradient
@@ -77,18 +78,35 @@ def test_alpha_fgm_matches_oracle(theta, vt):
     )
 
 
-def test_alpha_fixed_and_adaptive_agree():
+def test_alpha_matches_oracle_off_table():
     for big_g, s, theta, vt in [
         (24.0, 3.0, 0.05, 0.001),
         (24.0, 48.0, 0.1, 0.01),
-        (48.0, 3.0, 0.05, 0.9),
-        (24.0, 2.0, 1.5, 0.5),
+        (48.0, 3.0, 0.05, 0.9),  # strong dependence, off the table grid
+        (24.0, 2.0, 1.5, 0.5),  # theta*(G+s) = 39: fast decay, cached rule
     ]:
         params = ModelParams(GB, theta, vt)
         design = StudyDesign(big_g, s)
-        fixed = alpha(params, design, method="fixed")
-        adaptive = alpha(params, design, method="adaptive")
-        assert fixed == pytest.approx(adaptive, abs=1e-10)
+        assert alpha(params, design) == pytest.approx(
+            alpha_oracle(params, design), abs=1e-10
+        )
+
+
+def test_alpha_is_the_integral_of_the_joint_density_over_d():
+    # Production integrates the survival difference, not the density, so
+    # this ties alpha to joint_density: a 2-D adaptive rule over D.
+    params = ModelParams(GB, 0.08, 0.3)
+    design = StudyDesign(24.0, 3.0)
+    value, _ = dblquad(
+        lambda x, t: joint_density(params, design, x, t),
+        0.0,
+        design.big_g,
+        lambda t: t,
+        lambda t: t + design.s,
+        epsabs=1e-12,
+        epsrel=1e-12,
+    )
+    assert alpha(params, design) == pytest.approx(value, abs=1e-10)
 
 
 def test_alpha_large_rate_stays_accurate():
@@ -104,11 +122,6 @@ def test_alpha_increasing_in_window_length():
     params = ModelParams(GB, 0.05, 0.2)
     values = [alpha(params, StudyDesign(24.0, s)) for s in (1.0, 2.0, 4.0, 8.0, 48.0)]
     assert all(a < b for a, b in zip(values, values[1:]))
-
-
-def test_alpha_rejects_unknown_method():
-    with pytest.raises(DomainError):
-        alpha(ModelParams(GB, 0.05, 0.1), StudyDesign(24.0, 3.0), method="exact")
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +140,7 @@ def test_bundle_alpha_field_consistent():
         (FGM, 0.1, 0.1, 24.0, 3.0),
         (GB, 0.1, 0.5, 48.0, 3.0),
         (GB, 0.05, 0.001, 24.0, 3.0),
+        (GB, 5.0, 0.3, 24.0, 3.0),  # theta*(G+s) = 135: the rate-adapted rule
         (FGM, 0.3, -0.6, 24.0, 48.0),
     ],
 )
@@ -162,6 +176,7 @@ def test_table_grid_runtime_under_budget():
         (GB, 0.08, 0.0, 24.0, 3.0),
         (GB, 0.05, 0.3, 24.0, 48.0),
         (GB, 0.3, 0.8, 24.0, 3.0),
+        (GB, 5.0, 0.3, 24.0, 3.0),  # theta*(G+s) = 135: the rate-adapted rule
         (FGM, 0.1, 0.1, 24.0, 3.0),
         (FGM, 0.3, -0.6, 24.0, 48.0),
     ],
