@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
 """Scan the determinant of the mean score Jacobian over (theta0, vartheta0).
 
-Long-form CSV: one row per grid point.  The printed minimum is only as
+Long-form CSV: one row per grid point.  Each determinant comes from the
+exact Hessian of the profile objective over --n-mc latent draws, so its
+only error is Monte Carlo noise.  The printed minimum is only as
 trustworthy as --n-mc allows; the surface flattens toward small theta
-and the Monte Carlo noise there can flip the sign of a genuinely
-positive determinant.
+and that noise can flip the sign of a genuinely positive determinant.
 """
 
 import argparse

@@ -5,7 +5,7 @@ hit probability over birth times t in (0, G).  Substituting
 t = G*(1 - e^{-y}) makes log(1 - t/G) = -y exact, removing the
 logarithmic endpoint singularity, and turns dt/G into e^{-y} dy; the
 integrand is then entire and decays like e^{-y}, so a fixed Gauss-Legendre
-rule on [0, Y_CUT] reaches machine precision for theta*(G+s) up to
+rule on [0, Y_CUT] reaches machine precision for theta*G up to
 roughly 60.  It takes N_OUTER = 160 nodes: at 120 the second partials
 drifted by up to 1e-5 relative.  The rule depends only on G and is
 cached per G.
@@ -57,7 +57,7 @@ def domain_grid(big_g: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def domain_grid_for_rate(big_g: float, theta: float):
     """Rate-adapted variant of ``domain_grid`` for large theta.
 
-    When theta*(G+s) is large the integrand lives in a boundary layer of
+    When theta*G is large the integrand lives in a boundary layer of
     width ~1/(theta*G) in y; shrinking the range to that layer restores
     full Gauss-Legendre accuracy.  Not cached: these evaluations are
     rare optimizer excursions.

@@ -498,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--seed", type=int)
     p_mc.add_argument("--level", type=float, default=0.05)
     p_mc.add_argument("--threads", type=int, default=None,
-                      help="worker processes (default: TRUNCDEP_THREADS or cores)")
+                      help="worker processes (default: one per core)")
     p_mc.add_argument("--power-grid",
                       help="comma list of vartheta0 values for a power sweep")
     p_mc.add_argument("--format", choices=["csv", "json"], default="csv")

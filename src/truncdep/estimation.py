@@ -35,7 +35,7 @@ from .copula import (
     vartheta_range,
 )
 from .errors import DataError
-from .likelihood import _obs_terms, log_likelihood, profile_n
+from .likelihood import _obs_terms, _profile_terms, log_likelihood, profile_n
 from .sampling import TruncatedSample
 from .selection import _alpha_and_grad, alpha
 
@@ -103,25 +103,14 @@ def _objective_factory(
     big_g, s = design.big_g, design.s
 
     def neg_lp(z: np.ndarray, want_hess: bool = False):
-        """-l_p and its gradient; with ``want_hess`` also the exact Hessian,
-        -(sum H log f - M (H alpha / alpha - grad alpha grad alpha' / alpha^2))."""
+        """-l_p and its gradient; with ``want_hess`` also the exact Hessian."""
         theta, vartheta = float(z[0]), float(z[1])
-        logf, g1, g2, *h = _obs_terms(
-            family, theta, vartheta, big_g, x, t, want_hess=want_hess
+        value, grad, hess = _profile_terms(
+            m,
+            _obs_terms(family, theta, vartheta, big_g, x, t, want_hess=want_hess),
+            _alpha_and_grad(family, theta, vartheta, big_g, s, want_hess=want_hess),
         )
-        a, d_t, d_v, *d2 = _alpha_and_grad(
-            family, theta, vartheta, big_g, s, want_hess=want_hess
-        )
-        value = float(np.sum(logf)) - m * math.log(a)
-        grad = np.array(
-            [float(np.sum(g1)) - m * d_t / a, float(np.sum(g2)) - m * d_v / a]
-        )
-        if not want_hess:
-            return -value, -grad
-        h_tt, h_tv, h_vv = (float(np.sum(hk)) - m * d2k / a for hk, d2k in zip(h[0], d2))
-        r = np.array([d_t, d_v]) / a
-        hess = np.array([[h_tt, h_tv], [h_tv, h_vv]]) + m * np.outer(r, r)
-        return -value, -grad, -hess
+        return (-value, -grad, -hess) if want_hess else (-value, -grad)
 
     return neg_lp
 

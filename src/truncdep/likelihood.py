@@ -12,7 +12,10 @@ constant in (theta, vartheta) leaves the profile objective
     l_p(theta, vartheta) = sum_j log f(x_j, t_j) - M log alpha,
 
 whose gradient is exactly the sum of the per-observation profile scores
-``profile_score``; the estimation module maximizes l_p directly.
+psi = grad log f - grad alpha / alpha (``profile_score``).  ``_profile_terms``
+writes l_p, the summed psi and the exact Hessian once, from one evaluation
+of the observed-data terms and of alpha; the estimation module maximizes
+l_p with it.
 """
 
 from __future__ import annotations
@@ -60,10 +63,11 @@ def _obs_terms(
 
     ``want_hess`` appends the (theta-theta, theta-vartheta, vartheta-vartheta)
     second partials.  All come from the family's kernel in ``copula``, with
-    parameters taken raw (no box validation): finite-difference consumers
-    evaluate just outside the admissible box, where the formulas extend
-    smoothly.  The copula-density factor c divides the score and is bounded
-    away from zero on D for admissible parameters, or InvariantError is raised.
+    parameters taken raw (no box validation): the formulas extend smoothly
+    just outside the admissible box, where the tests' finite differences
+    evaluate them.  The copula-density factor c divides the score and is
+    bounded away from zero on D for admissible parameters, or InvariantError
+    is raised.
     """
     order = 2 if want_hess else 1 if want_grads else 0
     p = _pieces(family, theta, vartheta, big_g, x, t, order)
@@ -71,6 +75,25 @@ def _obs_terms(
         raise InvariantError(f"{family.value} copula-density factor hit zero on D")
     logf, (g1, g2), hess = _log_density(p, theta, big_g, order, want_logf=want_logf)
     return (logf, g1, g2, hess) if want_hess else (logf, g1, g2)
+
+
+def _profile_terms(m: int, obs, a_terms):
+    """(l_p, sum psi, Hessian of l_p) from one ``_obs_terms`` result and one
+    ``_alpha_and_grad`` result of the same point and order, m observations.
+
+    sum psi = sum grad log f - m grad alpha / alpha; the Hessian, None
+    at order 1, is sum H log f - m (H alpha / alpha - grad alpha grad
+    alpha' / alpha^2).
+    """
+    logf, g1, g2, *h = obs
+    a, d_t, d_v, *d2 = a_terms
+    value = float(np.sum(logf)) - m * math.log(a)
+    grad = np.array([float(np.sum(g1)) - m * d_t / a, float(np.sum(g2)) - m * d_v / a])
+    if not h:
+        return value, grad, None
+    h_tt, h_tv, h_vv = (float(np.sum(hk)) - m * d2k / a for hk, d2k in zip(h[0], d2))
+    r = np.array([d_t, d_v]) / a
+    return value, grad, np.array([[h_tt, h_tv], [h_tv, h_vv]]) + m * np.outer(r, r)
 
 
 def log_likelihood(params: ModelParams, n: float, sample: TruncatedSample) -> float:
@@ -152,11 +175,11 @@ def profile_score(
     xa, ta = np.array([x], dtype=float), np.array([t], dtype=float)
     if not _in_region(xa, ta, design)[0]:
         return ProfileScore(0.0, 0.0)
-    _, g1, g2 = _obs_terms(
-        params.family, params.theta, params.vartheta, design.big_g, xa, ta,
-        want_logf=False,
+    _, psi, _ = _profile_terms(
+        1,
+        _obs_terms(params.family, params.theta, params.vartheta, design.big_g, xa, ta),
+        _alpha_and_grad(
+            params.family, params.theta, params.vartheta, design.big_g, design.s
+        ),
     )
-    a, d_t, d_v = _alpha_and_grad(
-        params.family, params.theta, params.vartheta, design.big_g, design.s
-    )
-    return ProfileScore(float(g1[0]) - d_t / a, float(g2[0]) - d_v / a)
+    return ProfileScore(float(psi[0]), float(psi[1]))

@@ -6,7 +6,8 @@ variance, rejection rate and boundary fraction.  ``power_curve`` sweeps
 the dependence parameter to trace level and power of the independence
 test.  ``hessian_det_scan`` estimates the determinant of the averaged
 score Jacobian over a parameter grid, the curvature quantity behind the
-estimator's asymptotics.
+estimator's asymptotics, from the exact Hessian of the profile objective
+on common random numbers; it carries Monte Carlo noise only.
 
 Replications are independent tasks: each gets its own seed derived from
 (seed, replication index), so results are identical whether they run
@@ -25,11 +26,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .copula import EPS_THETA, CopulaFamily, ModelParams, StudyDesign, vartheta_range
+from .copula import CopulaFamily, ModelParams, StudyDesign
 from .errors import ConvergenceError, DomainError, InvariantError, TruncdepError
 from .estimation import fit
 from .inference import wald_boundary_test, wald_interior_test_fgm
-from .likelihood import _obs_terms
+from .likelihood import _obs_terms, _profile_terms
 from .sampling import (
     _draw_uniform_pairs,
     _in_region,
@@ -49,7 +50,6 @@ __all__ = [
     "hessian_det_scan",
 ]
 
-_FD_SCALE = 1e-5
 _MSE_IDENTITY_TOL = 1e-12
 
 
@@ -144,16 +144,7 @@ class McSummary:
 
 def _resolve_threads(threads: int | None) -> int:
     if threads is None:
-        env = os.environ.get("TRUNCDEP_THREADS")
-        if env is not None:
-            try:
-                threads = int(env)
-            except ValueError:
-                raise DomainError(
-                    f"TRUNCDEP_THREADS={env!r} is not an integer"
-                ) from None
-        else:
-            threads = os.cpu_count() or 1
+        threads = os.cpu_count() or 1
     threads = int(threads)
     if threads < 1:
         raise DomainError(f"threads={threads} must be at least 1")
@@ -191,9 +182,8 @@ def iter_replications(
 ) -> Iterator[RepRecord]:
     """Yield replication records in replication order.
 
-    ``threads`` > 1 fans the work out to a process pool; None reads
-    TRUNCDEP_THREADS and falls back to the logical core count.  The
-    records are identical either way.
+    ``threads`` > 1 fans the work out to a process pool; None uses one
+    worker per logical core.  The records are identical either way.
     """
     threads = _resolve_threads(threads)
     reps = range(spec.replications)
@@ -295,61 +285,6 @@ def power_curve(
     return out
 
 
-def _mean_psi(
-    family: CopulaFamily,
-    theta: float,
-    vartheta: float,
-    design: StudyDesign,
-    x: np.ndarray,
-    t: np.ndarray,
-    n_mc: int,
-) -> np.ndarray:
-    # Mean profile score over all n_mc latent draws; the score vanishes
-    # off the observable region, so only the kept points contribute.
-    if x.size == 0:
-        return np.zeros(2)
-    _, g1, g2 = _obs_terms(
-        family, theta, vartheta, design.big_g, x, t, want_logf=False
-    )
-    a, d_t, d_v = _alpha_and_grad(family, theta, vartheta, design.big_g, design.s)
-    m = x.size
-    return np.array(
-        [
-            (float(np.sum(g1)) - m * d_t / a) / n_mc,
-            (float(np.sum(g2)) - m * d_v / a) / n_mc,
-        ]
-    )
-
-
-def _det_mean_jacobian(
-    family: CopulaFamily,
-    theta: float,
-    vartheta: float,
-    design: StudyDesign,
-    x: np.ndarray,
-    t: np.ndarray,
-    n_mc: int,
-) -> float:
-    # The observable region does not move with the parameters, so
-    # differencing the mean score equals averaging per-draw Jacobians.
-    # Difference points are clamped into the parameter box; at an edge
-    # the stencil degrades to one-sided, which is ample for a sign scan.
-    vt_lo, vt_hi = vartheta_range(family)
-    h_th = _FD_SCALE * max(1.0, abs(theta))
-    h_vt = _FD_SCALE * max(1.0, abs(vartheta))
-    th_hi = min(theta + h_th, 1.0 / EPS_THETA)
-    th_lo = max(theta - h_th, EPS_THETA)
-    vt_up = min(vartheta + h_vt, vt_hi)
-    vt_dn = max(vartheta - h_vt, vt_lo)
-
-    def mean_psi(th: float, vt: float) -> np.ndarray:
-        return _mean_psi(family, th, vt, design, x, t, n_mc)
-
-    col_th = (mean_psi(th_hi, vartheta) - mean_psi(th_lo, vartheta)) / (th_hi - th_lo)
-    col_vt = (mean_psi(theta, vt_up) - mean_psi(theta, vt_dn)) / (vt_up - vt_dn)
-    return float(col_th[0] * col_vt[1] - col_vt[0] * col_th[1])
-
-
 def hessian_det_scan(
     theta_grid: Sequence[float],
     vartheta_grid: Sequence[float],
@@ -363,13 +298,15 @@ def hessian_det_scan(
 
     At each (theta0, vartheta0) the expectation of the profile-score
     Jacobian over a latent pair is estimated from n_mc draws at that
-    point and its 2x2 determinant returned, shape (len(theta_grid),
-    len(vartheta_grid)).  One block of uniforms, fixed by ``seed``, is
-    transformed separately per grid point: the common random numbers
-    keep point-to-point comparisons (where the surface bottoms out) far
-    more stable than the pointwise noise level.  A positive determinant
-    together with a negative theta-diagonal is the curvature condition
-    the estimator's asymptotic normality rests on.
+    point, as the exact Hessian of l_p over the kept draws divided by
+    n_mc (the score vanishes off the observable region), and its 2x2
+    determinant returned, shape (len(theta_grid), len(vartheta_grid)).
+    The estimate carries Monte Carlo noise only.  One block of uniforms,
+    fixed by ``seed``, is transformed separately per grid point: the
+    common random numbers keep point-to-point comparisons (where the
+    surface bottoms out) far more stable than the pointwise noise level.
+    A positive determinant together with a negative theta-diagonal is
+    the curvature condition the estimator's asymptotic normality rests on.
     """
     _check_positive_int("n_mc", n_mc)
     tg = np.atleast_1d(np.asarray(theta_grid, dtype=float))
@@ -379,10 +316,14 @@ def hessian_det_scan(
     out = np.empty((tg.size, vg.size))
     for i, th0 in enumerate(tg):
         for j, vt0 in enumerate(vg):
-            params = ModelParams(family, float(th0), float(vt0))
-            x, t = _latent_from_uniforms(params, design, uv)
+            th, vt = float(th0), float(vt0)
+            x, t = _latent_from_uniforms(ModelParams(family, th, vt), design, uv)
             keep = _in_region(x, t, design)
-            out[i, j] = _det_mean_jacobian(
-                family, float(th0), float(vt0), design, x[keep], t[keep], int(n_mc)
+            x, t = x[keep], t[keep]
+            _, _, hess = _profile_terms(
+                x.size,
+                _obs_terms(family, th, vt, design.big_g, x, t, want_hess=True),
+                _alpha_and_grad(family, th, vt, design.big_g, design.s, want_hess=True),
             )
+            out[i, j] = (hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[1, 0]) / float(n_mc) ** 2
     return out

@@ -11,10 +11,11 @@ does: alpha = (1/G) int_0^G [S(t | t) - S(t+s | t)] dt with the
 conditional survival function S(u | t) = P{X > u | T = t}.  The
 birth-time average runs on the fixed 160-node rule of ``_quad`` (machine
 precision; the fit hot path evaluates alpha thousands of times), with a
-rate-adapted rule once theta*(G+s) leaves the cached rule's validated
+rate-adapted rule once theta*G leaves the cached rule's validated
 accuracy range.  The first and second partials integrate the exact
 partials of S, from the survival pieces in ``copula``, on the same nodes.
-FGM uses the closed three-term formula and fully analytic derivatives.
+FGM alpha is closed form, linear in vartheta, and written once with its
+analytic derivatives (``_fgm_chain``).
 """
 
 from __future__ import annotations
@@ -28,8 +29,9 @@ from . import _quad
 from .copula import CopulaFamily, ModelParams, StudyDesign, _density, _gb_survival_pieces
 from .errors import InvariantError
 
-# Above this value of theta*(G+s) the cached rule loses accuracy (the
-# integrand's boundary layer gets too thin); switch to the rate-adapted rule.
+# Above this value of theta*G the cached rule loses accuracy (the
+# integrand's boundary layer gets too thin); switch to the rate-adapted rule,
+# whose y range ``_quad.domain_grid_for_rate`` also sets from theta*G.
 _FIXED_LIMIT = 60.0
 
 
@@ -63,7 +65,7 @@ def _gb_fixed(theta, vartheta, big_g, s, order: int) -> tuple[float, ...]:
     function S (or a partial) at u = t and far at u = t + s.  Parameters
     are not validated: the integrand extends smoothly just outside the box.
     """
-    if theta * (big_g + s) <= _FIXED_LIMIT:
+    if theta * big_g <= _FIXED_LIMIT:
         L, t, w = _quad.domain_grid(big_g)
     else:
         L, t, w = _quad.domain_grid_for_rate(big_g, theta)
@@ -75,21 +77,6 @@ def _gb_fixed(theta, vartheta, big_g, s, order: int) -> tuple[float, ...]:
 
 # ---------------------------------------------------------------------------
 # FGM: closed form and analytic derivatives
-
-
-def _fgm_alpha(theta, vartheta, big_g, s) -> float:
-    """The three-term closed form, evaluated as printed."""
-    es, eg = math.exp(-theta * s), math.exp(-theta * big_g)
-    e2s, e2g = math.exp(-2.0 * theta * s), math.exp(-2.0 * theta * big_g)
-    term0 = (1.0 - es) * (1.0 - eg) / (theta * big_g)
-    term1 = -(vartheta / big_g) * (
-        -(es - 1.0) * (eg + 1.0) / theta + (e2s - 1.0) * (e2g + 1.0) / (2.0 * theta)
-    )
-    term2 = (2.0 * vartheta / big_g**2) * (
-        (1.0 - es) * (1.0 - eg) / theta**2
-        - (1.0 - e2s) * (1.0 - e2g) / (4.0 * theta**2)
-    )
-    return term0 + term1 + term2
 
 
 def _fgm_w(a, big_g):
@@ -162,7 +149,7 @@ def alpha(params: ModelParams, design: StudyDesign) -> float:
     """
     th, vt, big_g, s = params.theta, params.vartheta, design.big_g, design.s
     if params.family is CopulaFamily.FGM:
-        value = _fgm_alpha(th, vt, big_g, s)
+        value = _fgm_chain(th, vt, big_g, s)[0]
     else:
         (value,) = _gb_fixed(th, vt, big_g, s, 0)
     if not 0.0 < value < 1.0:

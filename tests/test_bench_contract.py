@@ -10,8 +10,17 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from truncdep import CopulaFamily, ModelParams, StudyDesign, simulate_truncated
+from truncdep import (
+    CopulaFamily,
+    ModelParams,
+    ObservedPair,
+    StudyDesign,
+    hessian_det_scan,
+    profile_score,
+    simulate_truncated,
+)
 from truncdep.estimation import fit, fit_restricted
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -43,4 +52,30 @@ def test_tracer_hooks_exist_and_see_a_fit():
         "estimation.minimize",
         "estimation.face_solve",
     ):
+        assert tracer.name.count(name) >= 1, name
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: profile_score(
+            ModelParams(CopulaFamily.GUMBEL_BARNETT, 0.08, 0.3),
+            ObservedPair(5.0, 4.0),
+            StudyDesign(24.0, 3.0),
+        ),
+        lambda: hessian_det_scan([0.08], [0.3], StudyDesign(24.0, 3.0), 2_000, seed=1),
+    ],
+    ids=["profile_score", "hessian_det_scan"],
+)
+def test_hooked_names_are_live_call_sites(call):
+    # likelihood and montecarlo each look up the hooked _obs_terms and
+    # _alpha_and_grad under their own names; a name kept there only as an
+    # import would still install but record no span.
+    tracer = _load_tracer().Tracer()
+    try:
+        assert tracer.install() == []
+        call()
+    finally:
+        tracer.uninstall()
+    for name in ("likelihood.obs_terms", "selection.alpha.gb"):
         assert tracer.name.count(name) >= 1, name

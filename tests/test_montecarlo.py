@@ -20,6 +20,8 @@ from truncdep import (
     run_scenario,
     summarize,
 )
+from truncdep.estimation import _objective_factory
+from truncdep.sampling import _draw_uniform_pairs, _in_region, _latent_from_uniforms
 
 GB = CopulaFamily.GUMBEL_BARNETT
 FGM = CopulaFamily.FGM
@@ -229,6 +231,28 @@ def test_hessian_det_scan_positive_on_coarse_grid():
     out = hessian_det_scan([0.08, 0.12], [0.0, 0.45, 0.9], DESIGN, 60_000, seed=8)
     assert out.shape == (2, 3)
     assert np.all(out > 0.0)
+
+
+@pytest.mark.parametrize("theta,vartheta", [(0.05, 0.0), (0.08, 0.45)])
+def test_hessian_det_scan_matches_central_difference(theta, vartheta):
+    # Same uniforms as the scan; the central difference of the summed
+    # score steps across vartheta = 0, where the formulas extend smoothly.
+    n_mc, seed = 60_000, 8
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))
+    uv = _draw_uniform_pairs(rng, n_mc)
+    x, t = _latent_from_uniforms(ModelParams(GB, theta, vartheta), DESIGN, uv)
+    keep = _in_region(x, t, DESIGN)
+    neg_lp = _objective_factory(GB, DESIGN, x[keep], t[keep])
+    z = np.array([theta, vartheta])
+    cols = []
+    for k, h in enumerate((1e-5 * theta, 1e-5)):
+        e = np.zeros(2)
+        e[k] = h
+        cols.append((-neg_lp(z + e)[1] + neg_lp(z - e)[1]) / (2.0 * h))
+    jac = np.column_stack(cols)
+    want = np.linalg.det(jac) / n_mc**2
+    got = hessian_det_scan([theta], [vartheta], DESIGN, n_mc, seed=seed)[0, 0]
+    assert got == pytest.approx(want, rel=1e-6)
 
 
 def test_hessian_det_scan_rejects_bad_n_mc():

@@ -83,7 +83,7 @@ def test_alpha_matches_oracle_off_table():
         (24.0, 3.0, 0.05, 0.001),
         (24.0, 48.0, 0.1, 0.01),
         (48.0, 3.0, 0.05, 0.9),  # strong dependence, off the table grid
-        (24.0, 2.0, 1.5, 0.5),  # theta*(G+s) = 39: fast decay, cached rule
+        (24.0, 2.0, 1.5, 0.5),  # theta*G = 36: fast decay, cached rule
     ]:
         params = ModelParams(GB, theta, vt)
         design = StudyDesign(big_g, s)
@@ -110,10 +110,18 @@ def test_alpha_is_the_integral_of_the_joint_density_over_d():
 
 
 def test_alpha_large_rate_stays_accurate():
-    # rate-adapted grid regime: theta*(G+s) far beyond the fixed rule
+    # rate-adapted grid regime: theta*G far beyond the fixed rule
     for theta in (5.0, 50.0, 1000.0):
         params = ModelParams(GB, theta, 0.3)
         design = StudyDesign(24.0, 3.0)
+        got = alpha(params, design)
+        assert got == pytest.approx(alpha_oracle(params, design), rel=1e-9)
+    # long windows: theta*(G+s) = 67.2 and 60.5 but theta*G = 7.2 and 20.2,
+    # so the cached rule applies; the rate-adapted y range, cut at
+    # 90/(theta*G), would drop mass
+    for big_g, s, theta in ((24.0, 200.0, 0.3), (24.0, 48.0, 0.84)):
+        params = ModelParams(GB, theta, 0.0)
+        design = StudyDesign(big_g, s)
         got = alpha(params, design)
         assert got == pytest.approx(alpha_oracle(params, design), rel=1e-9)
 
@@ -129,9 +137,9 @@ def test_alpha_increasing_in_window_length():
 
 
 def test_bundle_alpha_field_consistent():
-    params = ModelParams(GB, 0.05, 0.0)
     design = StudyDesign(24.0, 3.0)
-    assert alpha_bundle(params, design).alpha == alpha(params, design)
+    for params in (ModelParams(GB, 0.05, 0.0), ModelParams(FGM, 0.1, 0.1)):
+        assert alpha_bundle(params, design).alpha == alpha(params, design)
 
 
 @pytest.mark.parametrize(
@@ -140,7 +148,7 @@ def test_bundle_alpha_field_consistent():
         (FGM, 0.1, 0.1, 24.0, 3.0),
         (GB, 0.1, 0.5, 48.0, 3.0),
         (GB, 0.05, 0.001, 24.0, 3.0),
-        (GB, 5.0, 0.3, 24.0, 3.0),  # theta*(G+s) = 135: the rate-adapted rule
+        (GB, 5.0, 0.3, 24.0, 3.0),  # theta*G = 120: the rate-adapted rule
         (FGM, 0.3, -0.6, 24.0, 48.0),
     ],
 )
@@ -176,7 +184,7 @@ def test_table_grid_runtime_under_budget():
         (GB, 0.08, 0.0, 24.0, 3.0),
         (GB, 0.05, 0.3, 24.0, 48.0),
         (GB, 0.3, 0.8, 24.0, 3.0),
-        (GB, 5.0, 0.3, 24.0, 3.0),  # theta*(G+s) = 135: the rate-adapted rule
+        (GB, 5.0, 0.3, 24.0, 3.0),  # theta*G = 120: the rate-adapted rule
         (FGM, 0.1, 0.1, 24.0, 3.0),
         (FGM, 0.3, -0.6, 24.0, 48.0),
     ],
