@@ -29,7 +29,7 @@ from .errors import (
     InvariantError,
     TruncdepError,
 )
-from .estimation import FitOptions, FitResult, fisher_info_hat, fit, fit_restricted
+from .estimation import FitResult, fisher_info_hat, fit, fit_restricted
 from .inference import (
     TestResult,
     TrendReport,
@@ -73,7 +73,6 @@ __all__ = [
     "CopulaFamily",
     "DataError",
     "DomainError",
-    "FitOptions",
     "FitResult",
     "InvariantError",
     "LatentPair",

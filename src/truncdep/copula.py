@@ -81,12 +81,7 @@ class ModelParams:
             raise DomainError(
                 f"theta={th!r} outside [{EPS_THETA}, {1.0 / EPS_THETA}]"
             )
-        lo, hi = vartheta_range(self.family)
-        vt = self.vartheta
-        if not (math.isfinite(vt) and lo <= vt <= hi):
-            raise DomainError(
-                f"vartheta={vt!r} outside [{lo}, {hi}] for {self.family.value}"
-            )
+        _check_vartheta(self.family, self.vartheta)
 
 
 @dataclass(frozen=True)

@@ -113,11 +113,13 @@ def log_likelihood(params: ModelParams, n: float, sample: TruncatedSample) -> fl
         sample.t_arr,
         want_grads=False,
     )
-    a = alpha(params, sample.design)
-    big_g, s = sample.design.big_g, sample.design.s
-    return float(
-        sample.m * math.log(n) + np.sum(logf) + (big_g + s) * big_g - n * a
-    )
+    return _log_lik(sample.m, n, logf, alpha(params, sample.design), sample.design)
+
+
+def _log_lik(m: int, n: float, logf: np.ndarray, a: float, design: StudyDesign) -> float:
+    """log l from log f on the m observations and alpha, both at one point."""
+    big_g, s = design.big_g, design.s
+    return float(m * math.log(n) + np.sum(logf) + (big_g + s) * big_g - n * a)
 
 
 def profile_n(m: int, alpha_value: float) -> int:

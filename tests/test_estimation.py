@@ -14,13 +14,13 @@ import truncdep
 from truncdep import (
     CopulaFamily,
     DataError,
-    FitOptions,
     ModelParams,
     StudyDesign,
     TruncatedSample,
     fisher_info_hat,
     fit,
     fit_restricted,
+    log_likelihood,
     simulate_truncated,
     vartheta_range,
 )
@@ -145,10 +145,44 @@ def test_fit_on_upper_vartheta_bound_converges_with_outward_score():
     assert abs(sum_psi[0]) <= 1e-7 * sample.m
 
 
-def test_fit_reports_nonconvergence_when_out_of_iterations():
-    result = fit(_independent_boundary_sample(), GB, FitOptions(max_iter=1))
+def test_fit_reports_nonconvergence_when_out_of_iterations(monkeypatch):
+    monkeypatch.setattr("truncdep.estimation._MAX_ITER", 1)
+    result = fit(_independent_boundary_sample(), GB)
     assert result.converged is False
     assert result.iterations <= 2
+
+
+@pytest.mark.parametrize("case", ["gb_interior", "gb_boundary", "fgm", "restricted"])
+def test_fit_reads_its_result_from_the_last_evaluation(case, request, monkeypatch):
+    if case == "gb_boundary":
+        family, sample = GB, _independent_boundary_sample()
+    else:
+        family = FGM if case == "fgm" else GB
+        sample = request.getfixturevalue("fgm_sample" if family is FGM else "gb_sample")[2]
+    calls = {"obs_terms": 0, "alpha": 0, "objective": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in ("truncdep.estimation", "truncdep.likelihood"):
+        monkeypatch.setattr(f"{module}._obs_terms", counted(_obs_terms, "obs_terms"))
+    monkeypatch.setattr(
+        "truncdep.estimation.alpha", counted(truncdep.estimation.alpha, "alpha")
+    )
+    monkeypatch.setattr(
+        "truncdep.estimation._objective_factory",
+        lambda *args: counted(_objective_factory(*args), "objective"),
+    )
+    result = (fit_restricted if case == "restricted" else fit)(sample, family)
+    assert result.at_boundary is (case == "gb_boundary")
+    # No point is evaluated twice; n_hat still goes through the hooked alpha.
+    assert calls["obs_terms"] == calls["objective"] > 0
+    assert calls["alpha"] == 1
+    assert result.log_lik == log_likelihood(result.params_hat, result.n_hat, sample)
+    assert np.array_equal(result.info_hat, fisher_info_hat(result.params_hat, sample))
 
 
 def test_importing_the_package_loads_no_scipy():
