@@ -22,8 +22,9 @@ import csv
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
-from typing import Any, Sequence, TextIO
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -42,7 +43,7 @@ from .inference import (
     wald_boundary_test,
     wald_interior_test_fgm,
 )
-from .montecarlo import McSummary, ScenarioSpec, power_curve, run_scenario
+from .montecarlo import MC_SE_KEYS, McSummary, ScenarioSpec, power_curve, run_scenario
 from .sampling import TruncatedSample, _in_region, simulate_truncated
 from .selection import alpha
 
@@ -56,33 +57,11 @@ _TAG_BY_FAMILY = {v: k for k, v in _FAMILY_BY_TAG.items()}
 
 _CSV_HEADER = ["x", "t"]
 
-_MC_COLUMNS = [
-    "family",
-    "theta0",
-    "vartheta0",
-    "G",
-    "s",
-    "n",
-    "replications",
-    "seed",
-    "level",
-    "bias_theta",
-    "bias_vartheta",
-    "var_theta",
-    "var_vartheta",
-    "var_central_theta",
-    "var_central_vartheta",
-    "rejection_rate",
-    "boundary_fraction",
-    "failures",
-    "se_bias_theta",
-    "se_bias_vartheta",
-    "se_var_theta",
-    "se_var_vartheta",
-    "se_rejection_rate",
-    "se_boundary_fraction",
+_SPEC_COLUMNS = [
+    "family", "theta0", "vartheta0", "G", "s", "n", "replications", "seed", "level",
 ]
-
+_SUMMARY_FIELDS = [f.name for f in fields(McSummary) if f.name != "mc_se"]
+_MC_COLUMNS = _SPEC_COLUMNS + _SUMMARY_FIELDS + [f"se_{key}" for key in MC_SE_KEYS]
 _POWER_COLUMNS = ["vartheta0", "rejection_rate", "mc_se"]
 
 
@@ -119,16 +98,13 @@ def _dump_json(obj: dict, out: str | None) -> None:
     _write_text(json.dumps(_jsonable(obj), indent=2, allow_nan=False) + "\n", out)
 
 
-def _csv_cell(value: Any) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def _csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+    def cell(value: Any) -> str:
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        return str(value)
 
-
-def _dump_csv(header: Sequence[str], rows: Sequence[Sequence[Any]], sink: TextIO) -> None:
-    sink.write(",".join(header) + "\n")
-    for row in rows:
-        sink.write(",".join(_csv_cell(v) for v in row) + "\n")
+    return "".join(",".join(map(cell, row)) + "\n" for row in [header, *rows])
 
 
 # ---------------------------------------------------------------------------
@@ -215,21 +191,31 @@ def _load_scenarios(args: argparse.Namespace) -> list[ScenarioSpec]:
         raise DataError(
             "single-scenario mode needs " + ", ".join(missing) + " (or --scenarios)"
         )
-    return [
-        ScenarioSpec(
-            design=StudyDesign(big_g=args.big_g, s=args.s),
-            n=args.n,
-            params0=ModelParams(
-                _family_from_tag(args.family), args.theta, args.vartheta
-            ),
-            replications=args.replications,
-            seed=args.seed,
-            level=args.level,
-        )
-    ]
+    entry = {
+        "design": {"big_g": args.big_g, "s": args.s},
+        "params0": {
+            "family": args.family, "theta": args.theta, "vartheta": args.vartheta
+        },
+        "n": args.n,
+        "replications": args.replications,
+        "seed": args.seed,
+        "level": args.level,
+    }
+    return [_scenario_from_dict(entry, 0)]
+
+
+def _scenario_int(entry: dict, key: str) -> int:
+    """An integer field: an int, or a float with an integral value (JSON 1e4)."""
+    value = entry[key]
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataError(f"{key}={value!r} must be an integer")
+    return value
 
 
 def _scenario_from_dict(entry: Any, index: int) -> ScenarioSpec:
+    """Build one scenario from its JSON form, as a scenario file holds it."""
     where = f"scenario {index}"
     if not isinstance(entry, dict):
         raise DataError(f"{where}: expected an object, got {type(entry).__name__}")
@@ -238,21 +224,19 @@ def _scenario_from_dict(entry: Any, index: int) -> ScenarioSpec:
         params0 = entry["params0"]
         spec = ScenarioSpec(
             design=StudyDesign(big_g=design["big_g"], s=design["s"]),
-            n=int(entry["n"]),
+            n=_scenario_int(entry, "n"),
             params0=ModelParams(
                 _family_from_tag(params0["family"]),
                 params0["theta"],
                 params0["vartheta"],
             ),
-            replications=int(entry["replications"]),
-            seed=int(entry["seed"]),
+            replications=_scenario_int(entry, "replications"),
+            seed=_scenario_int(entry, "seed"),
             level=float(entry.get("level", 0.05)),
         )
     except KeyError as exc:
         raise DataError(f"{where}: missing field {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
-        raise DataError(f"{where}: {exc}") from exc
-    except DomainError as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # DomainError, DataError too
         raise DataError(f"{where}: {exc}") from exc
     return spec
 
@@ -313,31 +297,12 @@ def _test_payload(test: TestResult, trend: TrendReport | None) -> dict:
 
 
 def _summary_row(spec: ScenarioSpec, summary: McSummary) -> list:
+    params, design = spec.params0, spec.design
     return [
-        _TAG_BY_FAMILY[spec.params0.family],
-        spec.params0.theta,
-        spec.params0.vartheta,
-        spec.design.big_g,
-        spec.design.s,
-        spec.n,
-        spec.replications,
-        spec.seed,
-        spec.level,
-        summary.bias_theta,
-        summary.bias_vartheta,
-        summary.var_theta,
-        summary.var_vartheta,
-        summary.var_central_theta,
-        summary.var_central_vartheta,
-        summary.rejection_rate,
-        summary.boundary_fraction,
-        summary.failures,
-        summary.mc_se["bias_theta"],
-        summary.mc_se["bias_vartheta"],
-        summary.mc_se["var_theta"],
-        summary.mc_se["var_vartheta"],
-        summary.mc_se["rejection_rate"],
-        summary.mc_se["boundary_fraction"],
+        _TAG_BY_FAMILY[params.family], params.theta, params.vartheta,
+        design.big_g, design.s, spec.n, spec.replications, spec.seed, spec.level,
+        *(getattr(summary, name) for name in _SUMMARY_FIELDS),
+        *(summary.mc_se[key] for key in MC_SE_KEYS),
     ]
 
 
@@ -410,20 +375,18 @@ def _cmd_mc(args: argparse.Namespace) -> int:
             ]
         _dump_json(payload, args.out)
         return 0
-    if args.out is None:
-        _dump_csv(_MC_COLUMNS, rows, sys.stdout)
-        if curve is not None:
-            sys.stdout.write("\n")
-            _dump_csv(_POWER_COLUMNS, curve, sys.stdout)
+    table = _csv_text(_MC_COLUMNS, rows)
+    if curve is None:
+        _write_text(table, args.out)
         return 0
-    out = Path(args.out)
-    with open(out, "w", encoding="utf-8", newline="") as sink:
-        _dump_csv(_MC_COLUMNS, rows, sink)
-    if curve is not None:
-        curve_path = out.with_suffix(".power.csv")
-        with open(curve_path, "w", encoding="utf-8", newline="") as sink:
-            _dump_csv(_POWER_COLUMNS, curve, sink)
-        print(f"power curve written to {curve_path}", file=sys.stderr)
+    power = _csv_text(_POWER_COLUMNS, curve)
+    if args.out is None:
+        _write_text(table + "\n" + power, None)
+        return 0
+    _write_text(table, args.out)
+    curve_path = Path(args.out).with_suffix(".power.csv")
+    _write_text(power, str(curve_path))
+    print(f"power curve written to {curve_path}", file=sys.stderr)
     return 0
 
 
@@ -450,6 +413,12 @@ def _add_design_flags(sub: argparse.ArgumentParser) -> None:
                      help="follow-up length s (years)")
 
 
+def _add_sample_flags(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("input", help="CSV file with header x,t")
+    sub.add_argument("--family", choices=sorted(_FAMILY_BY_TAG), required=True)
+    _add_design_flags(sub)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="truncdep",
@@ -458,18 +427,14 @@ def _build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     p_fit = commands.add_parser("fit", help="fit (theta, vartheta) from an x,t CSV")
-    p_fit.add_argument("input", help="CSV file with header x,t")
-    p_fit.add_argument("--family", choices=sorted(_FAMILY_BY_TAG), required=True)
-    _add_design_flags(p_fit)
+    _add_sample_flags(p_fit)
     p_fit.add_argument("--out", help="write JSON here instead of stdout")
     p_fit.set_defaults(func=_cmd_fit)
 
     p_test = commands.add_parser(
         "test", help="fit plus the independence test for the chosen family"
     )
-    p_test.add_argument("input", help="CSV file with header x,t")
-    p_test.add_argument("--family", choices=sorted(_FAMILY_BY_TAG), required=True)
-    _add_design_flags(p_test)
+    _add_sample_flags(p_test)
     p_test.add_argument("--level", type=float, default=0.05,
                         help="test level (default 0.05)")
     p_test.add_argument("--out", help="write JSON here instead of stdout")

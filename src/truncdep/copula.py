@@ -193,7 +193,12 @@ def _fgm_inv_cond(u, p, vartheta):
     return 2.0 * p / ((1.0 + k) + np.sqrt(disc))
 
 
-def _gb_inv_cond(u, p, vartheta, *, tol=1e-14, max_iter=100):
+# Stopping rule of the Gumbel-Barnett inversion: |g| tolerance, Newton cap.
+_INV_TOL = 1e-14
+_INV_MAX_ITER = 100
+
+
+def _gb_inv_cond(u, p, vartheta):
     """Inverse of the Gumbel-Barnett conditional CDF, vectorized.
 
     Works in w = -log(1-v) >= 0, where c_u(v) = p becomes
@@ -203,7 +208,7 @@ def _gb_inv_cond(u, p, vartheta, *, tol=1e-14, max_iter=100):
     with a = log(1-u) <= 0.  g is strictly decreasing and concave, so a
     Newton iteration started left of the root overshoots once and then
     converges monotonically from the right; a bracket guards against
-    floating-point stalls.  |g| <= tol implies the conditional-CDF
+    floating-point stalls.  |g| <= _INV_TOL implies the conditional-CDF
     residual |c_u(v) - p| <= (1-p)*|g|.
     """
     u = np.asarray(u, dtype=float)
@@ -218,8 +223,8 @@ def _gb_inv_cond(u, p, vartheta, *, tol=1e-14, max_iter=100):
     lo = np.array(w, copy=True)
     hi = np.full_like(w, np.inf)
     g = np.log1p(vartheta * w)
-    for _ in range(max_iter):
-        done = np.abs(g) <= tol
+    for _ in range(_INV_MAX_ITER):
+        done = np.abs(g) <= _INV_TOL
         if done.all():
             break
         gp = vartheta / (1.0 + vartheta * w) - slope  # <= vartheta - 1 < 0
@@ -456,5 +461,5 @@ def kendall_tau(family: CopulaFamily, vartheta: float) -> float:
     a = np.log1p(-q)[:, None]  # log(1-u), column
     b = np.log1p(-q)[None, :]  # log(1-v), row
     du = _gb_cond_cdf(a, b, vartheta)
-    dv = 1.0 - np.exp(a - vartheta * a * b) * (1.0 - vartheta * a)
+    dv = _gb_cond_cdf(b, a, vartheta)  # C is symmetric: dC/dv swaps u and v
     return float(1.0 - 4.0 * (w @ (du * dv) @ w))

@@ -43,6 +43,7 @@ __all__ = [
     "ScenarioSpec",
     "RepRecord",
     "McSummary",
+    "MC_SE_KEYS",
     "iter_replications",
     "summarize",
     "run_scenario",
@@ -51,6 +52,12 @@ __all__ = [
 ]
 
 _MSE_IDENTITY_TOL = 1e-12
+
+# Statistics that carry a Monte Carlo standard error, in McSummary.mc_se order.
+MC_SE_KEYS = (
+    "bias_theta", "bias_vartheta", "var_theta", "var_vartheta",
+    "rejection_rate", "boundary_fraction",
+)
 
 
 def _check_positive_int(name: str, value) -> None:
@@ -113,9 +120,8 @@ class McSummary:
     statistic); ``var_central_*`` the mean squared deviation from the
     replication mean, both with 1/R normalization, so per parameter
     bias^2 + var_central = var_ holds to rounding.  ``mc_se`` carries
-    Monte Carlo standard errors keyed by statistic name (bias_theta,
-    bias_vartheta, var_theta, var_vartheta, rejection_rate,
-    boundary_fraction).
+    Monte Carlo standard errors keyed by statistic name, the keys of
+    ``MC_SE_KEYS`` in that order.
     """
 
     bias_theta: float
@@ -229,14 +235,9 @@ def summarize(records: Iterable[RepRecord], params0: ModelParams) -> McSummary:
     dev_vt = (vt - params0.vartheta) ** 2
     rejection = float(np.mean(rej))
     boundary = float(np.mean(bnd))
-    mc_se = {
-        "bias_theta": _se_of_mean(th),
-        "bias_vartheta": _se_of_mean(vt),
-        "var_theta": _se_of_mean(dev_th),
-        "var_vartheta": _se_of_mean(dev_vt),
-        "rejection_rate": _se_of_rate(rejection, r_eff),
-        "boundary_fraction": _se_of_rate(boundary, r_eff),
-    }
+    se = [_se_of_mean(v) for v in (th, vt, dev_th, dev_vt)]
+    se += [_se_of_rate(p, r_eff) for p in (rejection, boundary)]
+    mc_se = dict(zip(MC_SE_KEYS, se, strict=True))
     return McSummary(
         bias_theta=float(np.mean(th)) - params0.theta,
         bias_vartheta=float(np.mean(vt)) - params0.vartheta,

@@ -293,6 +293,19 @@ def test_mc_csv_stdout_has_exact_columns(capsys):
     assert int(row[_MC_COLUMNS.index("failures")]) == 0
 
 
+def test_mc_columns_match_schema_required_order():
+    schema = load_schema("mc_result.schema.json")
+    assert _MC_COLUMNS == schema["properties"]["scenarios"]["items"]["required"]
+
+
+def test_mc_flag_domain_error_exits_2(capsys):
+    flags = list(MC_FLAGS)
+    flags[flags.index("--theta") + 1] = "-1"
+    assert main(flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario 0: theta=")
+
+
 def test_mc_json_validates_schema(capsys):
     assert main(MC_FLAGS + ["--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -335,6 +348,45 @@ def test_mc_scenario_file_missing_field(tmp_path, capsys):
     rc = main(["mc", "--scenarios", str(p), "--threads", "1"])
     assert rc == 2
     assert "missing field" in capsys.readouterr().err
+
+
+SCENARIO = {
+    "design": {"big_g": 24.0, "s": 3.0},
+    "params0": {"family": "gb", "theta": 0.05, "vartheta": 0.3},
+    "n": 2000,
+    "replications": 2,
+    "seed": 5,
+}
+
+
+@pytest.mark.parametrize("field", ["n", "replications", "seed"])
+@pytest.mark.parametrize(
+    "value", [2000.7, True, "12", math.inf, math.nan],
+    ids=["fraction", "bool", "string", "inf", "nan"],
+)
+def test_mc_scenario_integer_fields_refuse_non_integers(tmp_path, capsys, field, value):
+    p = tmp_path / "scen.json"
+    p.write_text(json.dumps({**SCENARIO, field: value}))  # inf/nan as Infinity/NaN
+    rc = main(["mc", "--scenarios", str(p), "--threads", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: scenario 0: {field}={value!r} must be an integer\n"
+    )
+
+
+def test_mc_scenario_int_too_large_for_a_float_exits_2(tmp_path, capsys):
+    p = tmp_path / "scen.json"
+    p.write_text(json.dumps({**SCENARIO, "design": {"big_g": 10**400, "s": 3.0}}))
+    assert main(["mc", "--scenarios", str(p), "--threads", "1"]) == 2
+    assert capsys.readouterr().err.startswith("error: scenario 0: ")
+
+
+def test_mc_scenario_integer_fields_accept_integral_floats(tmp_path, capsys):
+    p = tmp_path / "scen.json"
+    p.write_text(json.dumps({**SCENARIO, "n": 10000.0, "replications": 2.0, "seed": 5.0}))
+    assert main(["mc", "--scenarios", str(p), "--threads", "1", "--format", "json"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["scenarios"]
+    assert (row["n"], row["replications"], row["seed"]) == (10000, 2, 5)
 
 
 def test_mc_missing_flags_listed(capsys):

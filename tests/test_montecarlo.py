@@ -21,6 +21,7 @@ from truncdep import (
     summarize,
 )
 from truncdep.estimation import _objective_factory
+from truncdep.montecarlo import MC_SE_KEYS
 from truncdep.sampling import _draw_uniform_pairs, _in_region, _latent_from_uniforms
 
 GB = CopulaFamily.GUMBEL_BARNETT
@@ -97,6 +98,11 @@ def test_summarize_exact_statistics():
     assert s.failures == 0
     assert s.mc_se["bias_theta"] == pytest.approx(0.01, rel=1e-12)
     assert s.mc_se["rejection_rate"] == pytest.approx(math.sqrt(0.125), rel=1e-12)
+
+
+def test_summarize_mc_se_keys_follow_the_constant():
+    records = [make_record(0, 0.04, 0.2), make_record(1, 0.06, 0.4)]
+    assert tuple(summarize(records, ModelParams(GB, 0.05, 0.3)).mc_se) == MC_SE_KEYS
 
 
 def test_summarize_mse_identity_off_center():
