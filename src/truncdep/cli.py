@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import math
 import sys
@@ -56,6 +57,7 @@ _FAMILY_BY_TAG = {
 _TAG_BY_FAMILY = {v: k for k, v in _FAMILY_BY_TAG.items()}
 
 _CSV_HEADER = ["x", "t"]
+_PLAIN_BYTES = b"0123456789.eE+-,\n"
 
 _SPEC_COLUMNS = [
     "family", "theta0", "vartheta0", "G", "s", "n", "replications", "seed", "level",
@@ -118,41 +120,81 @@ def _family_from_tag(tag: str) -> CopulaFamily:
         raise DomainError(f"family must be one of {sorted(_FAMILY_BY_TAG)}, got {tag!r}")
 
 
+def _plain_rows(body: bytes) -> np.ndarray | None:
+    """The (M, 2) array of a CSV body in the writer's own form, else None.
+
+    A non-empty body of LF lines over ``_PLAIN_BYTES``, with no blank line,
+    splits into the same fields under ``np.loadtxt`` as under ``csv.reader``,
+    and both convert a field with CPython's ``PyOS_string_to_double``, so
+    they accept the same bodies with the same values.  Every other body,
+    and every body ``loadtxt`` refuses, goes to the row loop, which writes
+    the error message.
+    """
+    if (
+        not body
+        or body.startswith(b"\n")
+        or b"\n\n" in body
+        or body.translate(None, _PLAIN_BYTES)
+    ):
+        return None
+    try:
+        rows = np.loadtxt(
+            io.BytesIO(body), delimiter=",", comments=None, ndmin=2, dtype=float
+        )
+    except ValueError:
+        return None
+    return rows if rows.shape[1] == 2 else None
+
+
+def _parse_rows(path: str, data: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Parse the whole file with ``csv.reader``, one ``float()`` per field.
+
+    Line numbers in error messages are 1-based physical lines with the
+    header on line 1.
+    """
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cannot read {path}: not UTF-8 ({exc})") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header != _CSV_HEADER:
+        raise DataError(f"{path}:1: header must be exactly 'x,t', got {header!r}")
+    xs: list[float] = []
+    ts: list[float] = []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != 2:
+            raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
+        try:
+            xs.append(float(row[0]))
+            ts.append(float(row[1]))
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
+    return np.array(xs), np.array(ts)
+
+
 def _read_sample(path: str, design: StudyDesign) -> TruncatedSample:
     """Parse an x,t CSV, validating every row against the observable region.
 
-    Line numbers in error messages are 1-based physical lines with the
-    header on line 1.  All rows are parsed before any is checked against D,
+    A file in the form ``simulate`` writes is parsed by ``_plain_rows``;
+    any other file, and every malformed one, by the row loop
+    ``_parse_rows``.  All rows are parsed before any is checked against D,
     so a malformed row is reported ahead of an earlier out-of-region one.
     """
     try:
-        handle = open(path, "r", encoding="utf-8", newline="")
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != _CSV_HEADER:
-            raise DataError(
-                f"{path}:1: header must be exactly 'x,t', got {header!r}"
-            )
-        xs: list[float] = []
-        ts: list[float] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 2:
-                raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-            try:
-                xs.append(float(row[0]))
-                ts.append(float(row[1]))
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
-    if not xs:
+    header, _, body = data.partition(b"\n")
+    rows = _plain_rows(body) if header == b"x,t" else None
+    x, t = _parse_rows(path, data) if rows is None else rows.T
+    if not x.size:
         raise DataError(f"{path}: no observations after the header")
-    x, t = np.array(xs), np.array(ts)
     outside = np.flatnonzero(~_in_region(x, t, design))
     if outside.size:
         i = int(outside[0])
-        at, xi, ti = f"{path}:{i + 2}", xs[i], ts[i]
+        at, xi, ti = f"{path}:{i + 2}", float(x[i]), float(t[i])
         if not (math.isfinite(xi) and math.isfinite(ti)):
             raise DataError(f"{at}: non-finite value")
         if not 0.0 < ti < design.big_g:
@@ -214,6 +256,14 @@ def _scenario_int(entry: dict, key: str) -> int:
     return value
 
 
+def _scenario_float(entry: dict, key: str) -> float:
+    """A real-valued field: an int or a float, never a bool or a string."""
+    value = entry[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DataError(f"{key}={value!r} must be a number")
+    return float(value)
+
+
 def _scenario_from_dict(entry: Any, index: int) -> ScenarioSpec:
     """Build one scenario from its JSON form, as a scenario file holds it."""
     where = f"scenario {index}"
@@ -223,16 +273,18 @@ def _scenario_from_dict(entry: Any, index: int) -> ScenarioSpec:
         design = entry["design"]
         params0 = entry["params0"]
         spec = ScenarioSpec(
-            design=StudyDesign(big_g=design["big_g"], s=design["s"]),
+            design=StudyDesign(
+                big_g=_scenario_float(design, "big_g"), s=_scenario_float(design, "s")
+            ),
             n=_scenario_int(entry, "n"),
             params0=ModelParams(
                 _family_from_tag(params0["family"]),
-                params0["theta"],
-                params0["vartheta"],
+                _scenario_float(params0, "theta"),
+                _scenario_float(params0, "vartheta"),
             ),
             replications=_scenario_int(entry, "replications"),
             seed=_scenario_int(entry, "seed"),
-            level=float(entry.get("level", 0.05)),
+            level=_scenario_float({"level": 0.05, **entry}, "level"),
         )
     except KeyError as exc:
         raise DataError(f"{where}: missing field {exc.args[0]!r}") from exc

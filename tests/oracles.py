@@ -2,20 +2,21 @@
 
 Everything here is derived from first principles with its own code path:
 closed-form copula derivatives, bisection inversion, one-dimensional
-adaptive quadrature of conditional probabilities, and brute-force integer
-search.  Nothing imports from the package's numeric internals, so
+adaptive quadrature of conditional probabilities, brute-force integer
+search, and the x,t CSV parsed row by row with the csv module.  Nothing imports from the package's numeric internals, so
 agreement between a production routine and its oracle is evidence, not
 circularity.
 """
 
 from __future__ import annotations
 
+import csv
 import math
 
 import numpy as np
 from scipy import integrate
 
-from truncdep import CopulaFamily, ModelParams, StudyDesign
+from truncdep import CopulaFamily, DataError, ModelParams, StudyDesign
 
 # ---------------------------------------------------------------------------
 # copula building blocks (own derivation)
@@ -205,3 +206,34 @@ def lbfgsb_multistart_oracle(neg_lp, naive, vartheta_starts, bounds, gtol):
             if best is None or res.fun < best.fun:
                 best = res
     return best.x, -float(best.fun)
+
+
+# ---------------------------------------------------------------------------
+# x,t CSV parse: the csv module's row loop, one float() per field
+
+
+def read_xt_oracle(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Parse an x,t CSV row by row, raising DataError with the CLI's messages.
+
+    The reference for ``truncdep.cli._read_sample`` before its region
+    check: ``csv.reader`` over the file opened with ``newline=""``, then
+    ``float()`` on each field.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, None)
+        if header != ["x", "t"]:
+            raise DataError(f"{path}:1: header must be exactly 'x,t', got {header!r}")
+        xs: list[float] = []
+        ts: list[float] = []
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != 2:
+                raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
+            try:
+                xs.append(float(row[0]))
+                ts.append(float(row[1]))
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
+    if not xs:
+        raise DataError(f"{path}: no observations after the header")
+    return np.array(xs), np.array(ts)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 from pathlib import Path
 
 import jsonschema
@@ -9,7 +10,9 @@ import numpy as np
 import pytest
 
 from truncdep import CopulaFamily, DataError, ModelParams, StudyDesign, simulate_truncated
-from truncdep.cli import _MC_COLUMNS, _read_sample, main
+from truncdep.cli import _MC_COLUMNS, _plain_rows, _read_sample, main
+
+from oracles import read_xt_oracle
 
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
 
@@ -225,6 +228,103 @@ def test_fit_writes_to_out_file(tmp_path, capsys):
     )
 
 
+def test_fit_non_utf8_file_exits_2(tmp_path, capsys):
+    p = tmp_path / "bad.csv"
+    p.write_bytes(b"x,t\n1.5,1.0\n\xff\xfe,2\n")
+    rc = main(["fit", str(p), "--family", "gb", "--G", "24", "--s", "3"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {p}: not UTF-8 (")
+
+
+# ---------------------------------------------------------------------------
+# CSV reader: the plain-form fast path against the csv row loop
+
+
+def test_plain_rows_parses_what_simulate_writes(tmp_path):
+    csv_path = simulate_csv(tmp_path, family="fgm", theta=0.08, vartheta=0.4, n=20_000)
+    header, _, body = csv_path.read_bytes().partition(b"\n")
+    assert header == b"x,t"
+    rows = _plain_rows(body)
+    assert rows is not None
+    x, t = read_xt_oracle(str(csv_path))
+    np.testing.assert_array_equal(rows, np.column_stack([x, t]))
+
+
+_NUMBER_BYTES = "0123456789.eE+-"
+_EXOTIC_FIELDS = [
+    "inf", "-inf", "nan", "1e999", "-1e999", "1e-320", "1_5", " 1.5", "2.0 ",
+    '"1.5"', '"2,5"', "", "0x1p0", "1.5\t",
+]
+_HEADERS = ["x,t"] * 12 + ['"x","t"', "x,t ", "x, t", "t,x"]
+
+
+def _random_csv(rng: random.Random) -> str:
+    """A small x,t CSV: mostly in-region numbers, with the reader's edge cases."""
+    junk = rng.choice([0.0, 0.0, 0.02, 0.3])
+    exotic = rng.choice([0.0, 0.0, 0.05])
+    odd_width = rng.choice([0.0, 0.0, 0.1])
+    blank = rng.choice([0.0, 0.0, 0.1])
+    newline = rng.choice(["\n"] * 6 + ["\r\n", "\r", "mixed"])
+
+    def field(value: float) -> str:
+        r = rng.random()
+        if r < junk:
+            return "".join(rng.choices(_NUMBER_BYTES, k=rng.randint(1, 6)))
+        if r < junk + exotic:
+            return rng.choice(_EXOTIC_FIELDS)
+        fmt = rng.choice(["{!r}", "{:.6e}", "{:.4f}", "+{!r}", "0{!r}", "{:.3E}", "{:.0f}"])
+        return fmt.format(value)
+
+    lines = [rng.choice(_HEADERS)]
+    for _ in range(rng.randint(0, 6)):
+        if rng.random() < blank:
+            lines.append("")
+        t = rng.uniform(0.01, 23.99)
+        row = [field(t + rng.uniform(0.0, 3.0)), field(t)]
+        if rng.random() < odd_width:
+            row = row[:1] if rng.random() < 0.5 else row + [field(t)]
+        lines.append(",".join(row))
+    ends = [
+        rng.choice(["\n", "\r\n", "\r"]) if newline == "mixed" else newline
+        for _ in lines
+    ]
+    if rng.random() < 0.2:
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends))
+
+
+def test_read_sample_matches_the_csv_row_loop(tmp_path):
+    """Same x, t bits, or the same error text, as csv.reader plus float()."""
+    design = StudyDesign(24.0, 3.0)
+    rng = random.Random(20230530)
+    path = tmp_path / "sample.csv"
+    seen = {"plain": 0, "accepted": 0, "parse_error": 0, "region_error": 0}
+    for _ in range(3000):
+        path.write_bytes(_random_csv(rng).encode("utf-8"))
+        header, _, body = path.read_bytes().partition(b"\n")
+        seen["plain"] += header == b"x,t" and _plain_rows(body) is not None
+        try:
+            x, t = read_xt_oracle(str(path))
+        except DataError as expected:
+            seen["parse_error"] += 1
+            with pytest.raises(DataError) as exc:
+                _read_sample(str(path), design)
+            assert str(exc.value) == str(expected)
+            continue
+        inside = (0.0 < t) & (t < 24.0) & (t <= x) & (x <= t + 3.0)
+        if inside.all():
+            seen["accepted"] += 1
+            sample = _read_sample(str(path), design)
+            assert sample.x_arr.tobytes() == x.tobytes()
+            assert sample.t_arr.tobytes() == t.tobytes()
+        else:
+            seen["region_error"] += 1
+            with pytest.raises(DataError) as exc:
+                _read_sample(str(path), design)
+            assert str(exc.value).startswith(f"{path}:{np.argmin(inside) + 2}: ")
+    assert min(seen.values()) >= 250, seen
+
+
 # ---------------------------------------------------------------------------
 # test command
 
@@ -387,6 +487,34 @@ def test_mc_scenario_integer_fields_accept_integral_floats(tmp_path, capsys):
     assert main(["mc", "--scenarios", str(p), "--threads", "1", "--format", "json"]) == 0
     (row,) = json.loads(capsys.readouterr().out)["scenarios"]
     assert (row["n"], row["replications"], row["seed"]) == (10000, 2, 5)
+
+
+@pytest.mark.parametrize("field", ["theta", "vartheta", "big_g", "s", "level"])
+@pytest.mark.parametrize("value", [True, "0.05", "24"], ids=["bool", "string", "int-string"])
+def test_mc_scenario_float_fields_refuse_non_numbers(tmp_path, capsys, field, value):
+    scenario = json.loads(json.dumps(SCENARIO))
+    if field in ("theta", "vartheta"):
+        scenario["params0"][field] = value
+    elif field in ("big_g", "s"):
+        scenario["design"][field] = value
+    else:
+        scenario[field] = value
+    p = tmp_path / "scen.json"
+    p.write_text(json.dumps(scenario))
+    rc = main(["mc", "--scenarios", str(p), "--threads", "1"])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: scenario 0: {field}={value!r} must be a number\n"
+    )
+
+
+def test_mc_scenario_float_fields_accept_ints(tmp_path, capsys):
+    p = tmp_path / "scen.json"
+    p.write_text(json.dumps({**SCENARIO, "design": {"big_g": 24, "s": 3}}))
+    assert main(["mc", "--scenarios", str(p), "--threads", "1"]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert (cells["G"], cells["s"]) == ("24.0", "3.0")
 
 
 def test_mc_missing_flags_listed(capsys):
