@@ -39,7 +39,6 @@ from .inference import (
     wald_interior_test_fgm,
 )
 from .likelihood import (
-    ProfileScore,
     full_score,
     log_likelihood,
     profile_n,
@@ -56,12 +55,8 @@ from .montecarlo import (
     summarize,
 )
 from .sampling import (
-    LatentPair,
-    ObservedPair,
     TruncatedSample,
-    draw_latent,
     simulate_truncated,
-    truncate,
 )
 from .selection import AlphaBundle, alpha, alpha_bundle
 
@@ -75,11 +70,8 @@ __all__ = [
     "DomainError",
     "FitResult",
     "InvariantError",
-    "LatentPair",
     "McSummary",
     "ModelParams",
-    "ObservedPair",
-    "ProfileScore",
     "RepRecord",
     "ScenarioSpec",
     "StudyDesign",
@@ -91,7 +83,6 @@ __all__ = [
     "alpha_bundle",
     "cond_cdf_given_u",
     "copula_cdf",
-    "draw_latent",
     "fisher_info_hat",
     "fit",
     "fit_restricted",
@@ -111,7 +102,6 @@ __all__ = [
     "simulate_truncated",
     "summarize",
     "trend_report_fgm",
-    "truncate",
     "vartheta_range",
     "wald_boundary_test",
     "wald_interior_test_fgm",

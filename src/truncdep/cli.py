@@ -157,19 +157,22 @@ def _parse_rows(path: str, data: bytes) -> tuple[np.ndarray, np.ndarray]:
     except UnicodeDecodeError as exc:
         raise DataError(f"cannot read {path}: not UTF-8 ({exc})") from exc
     reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header != _CSV_HEADER:
-        raise DataError(f"{path}:1: header must be exactly 'x,t', got {header!r}")
     xs: list[float] = []
     ts: list[float] = []
-    for lineno, row in enumerate(reader, start=2):
-        if len(row) != 2:
-            raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
-        try:
-            xs.append(float(row[0]))
-            ts.append(float(row[1]))
-        except ValueError as exc:
-            raise DataError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
+    try:
+        header = next(reader, None)
+        if header != _CSV_HEADER:
+            raise DataError(f"{path}:1: header must be exactly 'x,t', got {header!r}")
+        for lineno, row in enumerate(reader, start=2):
+            if len(row) != 2:
+                raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(row)}")
+            try:
+                xs.append(float(row[0]))
+                ts.append(float(row[1]))
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: non-numeric value ({exc})") from exc
+    except csv.Error as exc:
+        raise DataError(f"{path}:{reader.line_num}: {exc}") from exc
     return np.array(xs), np.array(ts)
 
 

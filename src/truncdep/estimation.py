@@ -39,7 +39,7 @@ from .copula import (
     vartheta_range,
 )
 from .errors import DataError
-from .likelihood import _log_lik, _obs_terms, _profile_terms, profile_n
+from .likelihood import _log_lik, _obs_terms, _profile_terms, _psi, profile_n
 from .sampling import TruncatedSample
 from .selection import _alpha_and_grad, alpha
 
@@ -282,10 +282,7 @@ def fit_restricted(sample: TruncatedSample, family: CopulaFamily) -> FitResult:
 def _info_hat(obs, a_terms, n_hat: int) -> np.ndarray:
     """(1/n_hat) * sum_j psi_j psi_j' from one ``_obs_terms`` result and one
     ``_alpha_and_grad`` result of the same point."""
-    _, g1, g2, *_ = obs
-    a, d_t, d_v, *_ = a_terms
-    psi1 = g1 - d_t / a
-    psi2 = g2 - d_v / a
+    psi1, psi2 = _psi(obs, a_terms)
     # Elementwise reductions: a BLAS dot of length M wakes a thread pool.
     cross = float(np.sum(psi1 * psi2))
     return np.array(

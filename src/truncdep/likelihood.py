@@ -12,39 +12,29 @@ constant in (theta, vartheta) leaves the profile objective
     l_p(theta, vartheta) = sum_j log f(x_j, t_j) - M log alpha,
 
 whose gradient is exactly the sum of the per-observation profile scores
-psi = grad log f - grad alpha / alpha (``profile_score``).  ``_profile_terms``
-writes l_p, the summed psi and the exact Hessian once, from one evaluation
-of the observed-data terms and of alpha; the estimation module maximizes
-l_p with it.
+psi = grad log f - grad alpha / alpha (``_psi``; ``profile_score`` returns
+them for a whole sample).  ``_profile_terms`` writes l_p, the summed psi
+and the exact Hessian once, from one evaluation of the observed-data
+terms and of alpha; the estimation module maximizes l_p with it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .copula import CopulaFamily, ModelParams, StudyDesign, _log_density, _pieces
 from .errors import DomainError, InvariantError
-from .sampling import LatentPair, ObservedPair, TruncatedSample, _in_region
+from .sampling import TruncatedSample
 from .selection import _alpha_and_grad, alpha
 
 __all__ = [
-    "ProfileScore",
     "log_likelihood",
     "profile_n",
     "full_score",
     "profile_score",
 ]
-
-
-@dataclass(frozen=True)
-class ProfileScore:
-    """The two components of the per-observation profile score."""
-
-    s_theta: float
-    s_vartheta: float
 
 
 def _obs_terms(
@@ -94,6 +84,15 @@ def _profile_terms(m: int, obs, a_terms):
     h_tt, h_tv, h_vv = (float(np.sum(hk)) - m * d2k / a for hk, d2k in zip(h[0], d2))
     r = np.array([d_t, d_v]) / a
     return value, grad, np.array([[h_tt, h_tv], [h_tv, h_vv]]) + m * np.outer(r, r)
+
+
+def _psi(obs, a_terms):
+    """Per-observation profile scores (psi_theta, psi_vartheta) = grad log f
+    - grad alpha / alpha from one ``_obs_terms`` result and one
+    ``_alpha_and_grad`` result of the same point."""
+    _, g1, g2, *_ = obs
+    a, d_t, d_v, *_ = a_terms
+    return g1 - d_t / a, g2 - d_v / a
 
 
 def log_likelihood(params: ModelParams, n: float, sample: TruncatedSample) -> float:
@@ -155,33 +154,13 @@ def full_score(params: ModelParams, n: float, sample: TruncatedSample) -> tuple[
     return (float(np.sum(g1) - n * d_t), float(np.sum(g2) - n * d_v))
 
 
-def _pair_xt(pair: ObservedPair | LatentPair) -> tuple[float, float]:
-    if isinstance(pair, ObservedPair):
-        return pair.x_tilde, pair.t_tilde
-    if isinstance(pair, LatentPair):
-        return pair.x, pair.t
-    raise DomainError(f"pair must be ObservedPair or LatentPair, got {pair!r}")
+def profile_score(params: ModelParams, sample: TruncatedSample) -> np.ndarray:
+    """Per-observation profile scores psi_j as an (M, 2) array.
 
-
-def profile_score(
-    params: ModelParams,
-    pair: ObservedPair | LatentPair,
-    design: StudyDesign,
-) -> ProfileScore:
-    """Per-observation profile score psi(x, t); zero outside D.
-
-    The indicator uses the closed interval [t, t+s] in x and the open
-    interval (0, G) in t.
+    Row j is (psi_theta, psi_vartheta) at (x_j, t_j); the column sums are
+    the gradient of the profile objective l_p.
     """
-    x, t = _pair_xt(pair)
-    xa, ta = np.array([x], dtype=float), np.array([t], dtype=float)
-    if not _in_region(xa, ta, design)[0]:
-        return ProfileScore(0.0, 0.0)
-    _, psi, _ = _profile_terms(
-        1,
-        _obs_terms(params.family, params.theta, params.vartheta, design.big_g, xa, ta),
-        _alpha_and_grad(
-            params.family, params.theta, params.vartheta, design.big_g, design.s
-        ),
-    )
-    return ProfileScore(float(psi[0]), float(psi[1]))
+    fam, th, vt, design = params.family, params.theta, params.vartheta, sample.design
+    obs = _obs_terms(fam, th, vt, design.big_g, sample.x_arr, sample.t_arr, want_logf=False)
+    a_terms = _alpha_and_grad(fam, th, vt, design.big_g, design.s)
+    return np.column_stack(_psi(obs, a_terms))

@@ -142,7 +142,9 @@ class McSummary:
         ):
             if v < 0.0 or vc < 0.0:
                 raise InvariantError(f"negative variance statistic for {tag}")
-            if abs(b * b + vc - v) > _MSE_IDENTITY_TOL:
+            # Rounding in b^2, vc and v grows with their scale, so the
+            # tolerance is relative once v exceeds 1.
+            if abs(b * b + vc - v) > _MSE_IDENTITY_TOL * max(1.0, v):
                 raise InvariantError(
                     f"bias^2 + central variance != mean squared error for {tag}"
                 )

@@ -15,8 +15,8 @@ import pytest
 from truncdep import (
     CopulaFamily,
     ModelParams,
-    ObservedPair,
     StudyDesign,
+    TruncatedSample,
     hessian_det_scan,
     profile_score,
     simulate_truncated,
@@ -60,8 +60,7 @@ def test_tracer_hooks_exist_and_see_a_fit():
     [
         lambda: profile_score(
             ModelParams(CopulaFamily.GUMBEL_BARNETT, 0.08, 0.3),
-            ObservedPair(5.0, 4.0),
-            StudyDesign(24.0, 3.0),
+            TruncatedSample.from_arrays([5.0], [4.0], StudyDesign(24.0, 3.0)),
         ),
         lambda: hessian_det_scan([0.08], [0.3], StudyDesign(24.0, 3.0), 2_000, seed=1),
     ],

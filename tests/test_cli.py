@@ -236,6 +236,18 @@ def test_fit_non_utf8_file_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: cannot read {p}: not UTF-8 (")
 
 
+def test_fit_field_over_csv_limit_exits_2(tmp_path, capsys):
+    # CRLF line ends send the file to the csv row loop, whose field limit
+    # is 131,072 characters
+    p = tmp_path / "long.csv"
+    p.write_bytes(b"x,t\r\n1." + b"0" * 200_000 + b",1.0\r\n")
+    rc = main(["fit", str(p), "--family", "gb", "--G", "24", "--s", "3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {p}:")
+    assert "field larger than field limit" in err
+
+
 # ---------------------------------------------------------------------------
 # CSV reader: the plain-form fast path against the csv row loop
 
@@ -391,6 +403,17 @@ def test_mc_csv_stdout_has_exact_columns(capsys):
     assert len(row) == len(_MC_COLUMNS)
     assert row[0] == "gb"
     assert int(row[_MC_COLUMNS.index("failures")]) == 0
+
+
+def test_mc_large_theta_passes_the_mse_identity(capsys):
+    # the null scenario with theta and 1/G, 1/s scaled by 25,000
+    flags = [
+        "mc", "--family", "gb", "--theta", "2000", "--vartheta", "0",
+        "--G", "0.00096", "--s", "0.00012", "--n", "10000",
+        "--replications", "100", "--seed", "7", "--threads", "1",
+    ]
+    assert main(flags) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_mc_columns_match_schema_required_order():

@@ -9,9 +9,7 @@ from hypothesis import given, strategies as st
 from truncdep import (
     CopulaFamily,
     DomainError,
-    LatentPair,
     ModelParams,
-    ObservedPair,
     StudyDesign,
     TruncatedSample,
     alpha,
@@ -20,7 +18,6 @@ from truncdep import (
     log_likelihood,
     profile_n,
     profile_score,
-    truncate,
 )
 from truncdep.likelihood import _obs_terms
 from truncdep.selection import _alpha_and_grad
@@ -57,7 +54,7 @@ def test_loglik_empty_sample_reduces_to_penalty():
 
 def test_loglik_single_observation_hand_expansion():
     params = ModelParams(GB, 0.1, 0.0)
-    sample = truncate([LatentPair(2.0, 1.0)], DESIGN)
+    sample = TruncatedSample.from_arrays(np.array([2.0]), np.array([1.0]), DESIGN)
     expected = (
         math.log(100.0 * (0.1 / 24.0) * math.exp(-0.2))
         + 27.0 * 24.0
@@ -206,12 +203,6 @@ def test_full_score_independence_theta_component():
 # profile_score
 
 
-def test_profile_score_zero_outside_region():
-    params = ModelParams(GB, 0.1, 0.2)
-    score = profile_score(params, LatentPair(50.0, 1.0), DESIGN)
-    assert (score.s_theta, score.s_vartheta) == (0.0, 0.0)
-
-
 @pytest.mark.parametrize(
     "family,theta,vt,seed",
     [(GB, 0.05, 0.3, 21), (FGM, 0.1, -0.4, 22)],
@@ -228,10 +219,7 @@ def test_profile_score_sum_matches_fd_of_profile_objective(family, theta, vt, se
         return logf - sample.m * math.log(alpha(p, DESIGN))
 
     fd = fd_gradient(lp, np.array([theta, vt]), np.array([1e-6 * theta, 1e-6]))
-    total = np.zeros(2)
-    for obs in sample.observations:
-        s = profile_score(params, obs, DESIGN)
-        total += (s.s_theta, s.s_vartheta)
+    total = profile_score(params, sample).sum(axis=0)
     np.testing.assert_allclose(total, fd, rtol=1e-5)
 
 
@@ -252,17 +240,9 @@ def test_profile_score_mean_zero_at_truth():
     se = psi.std(axis=0, ddof=1) / math.sqrt(n)
     assert abs(mean[0]) <= 3.0 * se[0]
     assert abs(mean[1]) <= 3.0 * se[1]
-    # the vectorized path above agrees with the public scalar operation
-    idx = np.flatnonzero(keep)[:50]
-    for i in idx:
-        s = profile_score(params, LatentPair(float(x[i]), float(t[i])), DESIGN)
-        assert s.s_theta == pytest.approx(psi[i, 0], rel=1e-12)
-        assert s.s_vartheta == pytest.approx(psi[i, 1], rel=1e-12)
-
-
-def test_profile_score_rejects_unknown_pair_type():
-    with pytest.raises(DomainError):
-        profile_score(ModelParams(GB, 0.1, 0.2), (2.0, 1.0), DESIGN)
+    # the vectorized path above agrees with the public operation
+    sample = TruncatedSample.from_arrays(x[keep], t[keep], DESIGN, n_latent=n)
+    np.testing.assert_array_equal(profile_score(params, sample), psi[keep])
 
 
 @pytest.mark.parametrize(

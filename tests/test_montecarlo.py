@@ -118,6 +118,17 @@ def test_summarize_mse_identity_off_center():
     assert s.bias_theta > 0.0
 
 
+def test_summarize_mse_identity_at_large_theta():
+    # rounding in bias^2, central variance and MSE grows with theta0^2
+    params0 = ModelParams(GB, 2000.0, 0.3)
+    rng = np.random.default_rng(0)
+    th = params0.theta * (1.01 + 0.05 * rng.standard_normal(200))
+    s = summarize([make_record(i, float(v), 0.3) for i, v in enumerate(th)], params0)
+    assert s.bias_theta**2 + s.var_central_theta == pytest.approx(
+        s.var_theta, rel=1e-12
+    )
+
+
 def test_summarize_excludes_failures_with_warning():
     params0 = ModelParams(GB, 0.05, 0.3)
     records = [

@@ -11,17 +11,14 @@ from truncdep import (
     CopulaFamily,
     DataError,
     DomainError,
-    LatentPair,
     ModelParams,
-    ObservedPair,
     StudyDesign,
     TruncatedSample,
     alpha,
-    draw_latent,
     kendall_tau,
     simulate_truncated,
-    truncate,
 )
+from truncdep.sampling import _draw_latent_arrays, _in_region
 
 GB = CopulaFamily.GUMBEL_BARNETT
 FGM = CopulaFamily.FGM
@@ -34,34 +31,41 @@ def tau_se(n):
 
 
 # ---------------------------------------------------------------------------
-# truncate
+# the truncation rule
+
+
+def truncated(pairs):
+    """The sample of the pairs in D, kept in order, as simulate_truncated builds it."""
+    x, t = np.array(pairs, dtype=float).reshape(-1, 2).T
+    keep = _in_region(x, t, DESIGN)
+    return TruncatedSample.from_arrays(x[keep], t[keep], DESIGN, n_latent=len(pairs))
 
 
 def test_truncate_keeps_in_region_pair():
-    sample = truncate([LatentPair(2.0, 1.0)], DESIGN)
+    sample = truncated([(2.0, 1.0)])
     assert sample.m == 1
-    assert sample.observations[0] == ObservedPair(2.0, 1.0)
+    assert (sample.x_arr.tolist(), sample.t_arr.tolist()) == ([2.0], [1.0])
 
 
 def test_truncate_drops_pair_beyond_window():
-    assert truncate([LatentPair(5.0, 1.0)], DESIGN).m == 0
+    assert truncated([(5.0, 1.0)]).m == 0
 
 
 def test_truncate_preserves_order_and_counts_latents():
-    pairs = [LatentPair(2.0, 1.0), LatentPair(50.0, 1.0), LatentPair(3.5, 2.0)]
-    sample = truncate(pairs, DESIGN)
+    sample = truncated([(2.0, 1.0), (50.0, 1.0), (3.5, 2.0)])
     assert sample.n_latent == 3
-    assert [o.x_tilde for o in sample.observations] == [2.0, 3.5]
+    assert sample.x_arr.tolist() == [2.0, 3.5]
+    assert sample.t_arr.tolist() == [1.0, 2.0]
 
 
 @given(st.lists(st.tuples(st.floats(0.0, 60.0), st.floats(-1.0, 30.0)), max_size=60))
 def test_truncate_equals_manual_filter(pairs):
-    latent = [LatentPair(x, t) for x, t in pairs]
     kept = [
         (x, t) for x, t in pairs if 0.0 < t < 24.0 and t <= x <= t + 3.0
     ]
-    sample = truncate(latent, DESIGN)
-    assert [(o.x_tilde, o.t_tilde) for o in sample.observations] == kept
+    x_arr, t_arr = np.array(pairs, dtype=float).reshape(-1, 2).T
+    keep = _in_region(x_arr, t_arr, DESIGN)
+    assert list(zip(x_arr[keep].tolist(), t_arr[keep].tolist())) == kept
 
 
 # ---------------------------------------------------------------------------
@@ -70,18 +74,13 @@ def test_truncate_equals_manual_filter(pairs):
 
 def test_sample_rejects_out_of_region_observation():
     with pytest.raises(DataError, match="outside D"):
-        TruncatedSample(
-            observations=(ObservedPair(2.0, 1.0), ObservedPair(9.0, 1.0)),
-            design=DESIGN,
-        )
+        TruncatedSample.from_arrays(np.array([2.0, 9.0]), np.array([1.0, 1.0]), DESIGN)
 
 
 def test_sample_rejects_m_exceeding_n_latent():
     with pytest.raises(DataError):
-        TruncatedSample(
-            observations=(ObservedPair(2.0, 1.0), ObservedPair(2.5, 1.5)),
-            design=DESIGN,
-            n_latent=1,
+        TruncatedSample.from_arrays(
+            np.array([2.0, 2.5]), np.array([1.0, 1.5]), DESIGN, n_latent=1
         )
 
 
@@ -95,24 +94,15 @@ def test_from_arrays_rejects_malformed_arrays(x, t):
         TruncatedSample.from_arrays(np.array(x), np.array(t), DESIGN)
 
 
-def test_observations_view_built_on_first_access():
-    params = ModelParams(GB, 0.05, 0.3)
-    sample = simulate_truncated(params, DESIGN, 2000, np.random.default_rng(3))
-    assert "observations" not in vars(sample)
-    obs = sample.observations
-    assert obs is sample.observations
-    assert [(o.x_tilde, o.t_tilde) for o in obs] == list(
-        zip(sample.x_arr.tolist(), sample.t_arr.tolist())
-    )
-    again = TruncatedSample(observations=obs, design=DESIGN, n_latent=2000)
-    np.testing.assert_array_equal(again.x_arr, sample.x_arr)
-    np.testing.assert_array_equal(again.t_arr, sample.t_arr)
-
-
 def test_sample_arrays_are_read_only():
-    sample = truncate([LatentPair(2.0, 1.0)], DESIGN)
+    x, t = np.array([2.0]), np.array([1.0])
+    sample = TruncatedSample.from_arrays(x, t, DESIGN)
     with pytest.raises(ValueError):
         sample.x_arr[0] = 0.0
+    # the caller's arrays are copied, not frozen or aliased
+    x[0] = 2.5
+    assert sample.x_arr[0] == 2.0
+    assert x.flags.writeable and t.flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +116,8 @@ def test_simulate_rejects_nonpositive_n():
 
 
 def test_forced_out_of_region_draw_gives_empty_sample():
-    sample = truncate([LatentPair(100.0, 1.0)], DESIGN)
+    # an empty sample keeps n_latent
+    sample = truncated([(100.0, 1.0)])
     assert sample.m == 0
     assert sample.n_latent == 1
 
@@ -140,13 +131,17 @@ def test_simulate_deterministic_given_seed():
     np.testing.assert_array_equal(a.t_arr, b.t_arr)
 
 
-def test_draw_latent_matches_vectorized_stream():
-    params = ModelParams(FGM, 0.1, 0.5)
-    single = draw_latent(params, DESIGN, np.random.default_rng(7))
-    batch = simulate_truncated(params, DESIGN, 1, np.random.default_rng(7))
-    assert batch.n_latent == 1
-    if batch.m == 1:
-        assert batch.observations[0].x_tilde == pytest.approx(single.x, rel=1e-15)
+@pytest.mark.parametrize(
+    "params", [ModelParams(GB, 0.05, 0.3), ModelParams(FGM, 0.1, 0.5)], ids=["gb", "fgm"]
+)
+def test_latent_stream_takes_two_uniforms_per_unit(params):
+    # a unit's pair does not depend on how many units are drawn with it
+    rng = np.random.default_rng(7)
+    x1, t1 = _draw_latent_arrays(params, DESIGN, 1, rng)
+    x8, t8 = _draw_latent_arrays(params, DESIGN, 8, rng)
+    x9, t9 = _draw_latent_arrays(params, DESIGN, 9, np.random.default_rng(7))
+    assert x1.tolist() + x8.tolist() == x9.tolist()
+    assert t1.tolist() + t8.tolist() == t9.tolist()
 
 
 @pytest.mark.parametrize(
