@@ -58,12 +58,11 @@ from .sampling import (
     TruncatedSample,
     simulate_truncated,
 )
-from .selection import AlphaBundle, alpha, alpha_bundle
+from .selection import alpha
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaBundle",
     "ConvergenceError",
     "CopulaFamily",
     "DataError",
@@ -80,7 +79,6 @@ __all__ = [
     "TruncatedSample",
     "TruncdepError",
     "alpha",
-    "alpha_bundle",
     "cond_cdf_given_u",
     "copula_cdf",
     "fisher_info_hat",

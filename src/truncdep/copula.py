@@ -332,14 +332,14 @@ def _pieces(family: CopulaFamily, theta, vartheta, big_g, x, t, order: int):
     return _fgm_pieces(theta, vartheta, x, 1.0 - 2.0 * t / big_g, order)
 
 
-def _log_density(pieces, theta: float, big_g: float, order: int, want_logf=True):
-    """(log f, gradient, Hessian), each present up to ``order``.
+def _log_density(pieces, theta: float, big_g: float, order: int):
+    """(log f, gradient, Hessian); entries above ``order`` are None.
 
     Consumes ``pieces``: the gradient is built in the arrays of d_c, so
     that no further M-sized arrays are allocated.
     """
     ell, c, d_lt, r, h_lt, h_c = pieces
-    logf = math.log(theta / big_g) + ell + np.log(c) if want_logf else None
+    logf = math.log(theta / big_g) + ell + np.log(c)
     if order == 0:
         return logf, (None, None), None
     for r_i in r:

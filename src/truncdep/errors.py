@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all truncdep modules."""
+"""Exception hierarchy shared by all truncdep modules, and the one
+positive-integer check that raises from it."""
+
+import numpy as np
 
 
 class TruncdepError(Exception):
@@ -23,3 +26,14 @@ class InvariantError(TruncdepError, RuntimeError):
 
 class DataError(TruncdepError, ValueError):
     """Malformed or inadmissible observation data."""
+
+
+def _check_positive_int(
+    name: str, value, error: type[TruncdepError] = DomainError
+) -> None:
+    """Raise ``error`` unless ``value`` is an integer (Python or NumPy) >= 1.
+
+    Floats never pass, so NaN and infinities raise ``error`` too.
+    """
+    if not (isinstance(value, (int, np.integer)) and value >= 1):
+        raise error(f"{name}={value!r} must be a positive integer")

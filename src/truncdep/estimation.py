@@ -99,16 +99,16 @@ def _objective_factory(
     m = len(x)
     big_g, s = design.big_g, design.s
 
-    def neg_lp(z: np.ndarray, want_hess: bool = False):
-        """-l_p and its gradient; with ``want_hess`` also the exact Hessian
-        and the (``_obs_terms``, ``_alpha_and_grad``) results behind them."""
+    def neg_lp(z: np.ndarray):
+        """(-l_p, its gradient, its exact Hessian, terms), with terms the
+        order-2 (``_obs_terms``, ``_alpha_and_grad``) results behind them."""
         theta, vartheta = float(z[0]), float(z[1])
         terms = (
-            _obs_terms(family, theta, vartheta, big_g, x, t, want_hess=want_hess),
-            _alpha_and_grad(family, theta, vartheta, big_g, s, want_hess=want_hess),
+            _obs_terms(family, theta, vartheta, big_g, x, t, 2),
+            _alpha_and_grad(family, theta, vartheta, big_g, s, 2),
         )
         value, grad, hess = _profile_terms(m, *terms)
-        return (-value, -grad, -hess, terms) if want_hess else (-value, -grad)
+        return -value, -grad, -hess, terms
 
     return neg_lp
 
@@ -150,7 +150,7 @@ def minimize(neg_lp, z0, lo, hi, m: int):
     """
     tol = _GTOL_SCALE * max(m, 1)
     z = np.clip(np.asarray(z0, dtype=float), lo, hi)
-    f, grad, hess, terms = neg_lp(z, want_hess=True)
+    f, grad, hess, terms = neg_lp(z)
     size = _projected_size(grad, z, lo, hi)
     for nit in range(_MAX_ITER):
         if size <= tol:
@@ -168,7 +168,7 @@ def minimize(neg_lp, z0, lo, hi, m: int):
         t = 1.0
         for _ in range(_MAX_HALVINGS):
             trial = np.clip(z + t * step, lo, hi)
-            f_new, grad_new, hess_new, terms_new = neg_lp(trial, want_hess=True)
+            f_new, grad_new, hess_new, terms_new = neg_lp(trial)
             size_new = _projected_size(grad_new, trial, lo, hi)
             if f_new <= f + _ARMIJO * float(np.sum(grad * (trial - z))) or (
                 f_new - f <= _RESOLUTION * abs(f) and size_new < size
@@ -294,6 +294,6 @@ def fisher_info_hat(params_hat: ModelParams, sample: TruncatedSample) -> np.ndar
     """Plug-in Fisher information (1/n_hat) * sum_j psi_j psi_j'."""
     fam, th, vt = params_hat.family, params_hat.theta, params_hat.vartheta
     big_g = sample.design.big_g
-    obs = _obs_terms(fam, th, vt, big_g, sample.x_arr, sample.t_arr, want_logf=False)
-    a_terms = _alpha_and_grad(fam, th, vt, big_g, sample.design.s)
+    obs = _obs_terms(fam, th, vt, big_g, sample.x_arr, sample.t_arr, 1)
+    a_terms = _alpha_and_grad(fam, th, vt, big_g, sample.design.s, 1)
     return _info_hat(obs, a_terms, profile_n(sample.m, a_terms[0]))

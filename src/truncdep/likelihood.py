@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from .copula import CopulaFamily, ModelParams, StudyDesign, _log_density, _pieces
-from .errors import DomainError, InvariantError
+from .errors import DomainError, InvariantError, _check_positive_int
 from .sampling import TruncatedSample
 from .selection import _alpha_and_grad, alpha
 
@@ -44,44 +44,36 @@ def _obs_terms(
     big_g: float,
     x: np.ndarray,
     t: np.ndarray,
-    *,
-    want_logf: bool = True,
-    want_grads: bool = True,
-    want_hess: bool = False,
+    order: int,
 ):
-    """(log f, dlogf/dtheta, dlogf/dvartheta) elementwise on support points.
+    """(log f, (dlogf/dtheta, dlogf/dvartheta), second partials) elementwise
+    on support points; entries above ``order`` (0, 1 or 2) are None.
 
-    ``want_hess`` appends the (theta-theta, theta-vartheta, vartheta-vartheta)
-    second partials.  All come from the family's kernel in ``copula``, with
-    parameters taken raw (no box validation): the formulas extend smoothly
-    just outside the admissible box, where the tests' finite differences
-    evaluate them.  The copula-density factor c divides the score and is
-    bounded away from zero on D for admissible parameters, or InvariantError
-    is raised.
+    The second partials are (theta-theta, theta-vartheta, vartheta-vartheta).
+    All come from the family's kernel in ``copula``, with parameters taken
+    raw (no box validation): the formulas extend smoothly just outside the
+    admissible box, where the tests' finite differences evaluate them.  The
+    copula-density factor c divides the score and is bounded away from zero
+    on D for admissible parameters, or InvariantError is raised.
     """
-    order = 2 if want_hess else 1 if want_grads else 0
     p = _pieces(family, theta, vartheta, big_g, x, t, order)
     if not np.all(p[1] > 0.0):
         raise InvariantError(f"{family.value} copula-density factor hit zero on D")
-    logf, (g1, g2), hess = _log_density(p, theta, big_g, order, want_logf=want_logf)
-    return (logf, g1, g2, hess) if want_hess else (logf, g1, g2)
+    return _log_density(p, theta, big_g, order)
 
 
 def _profile_terms(m: int, obs, a_terms):
-    """(l_p, sum psi, Hessian of l_p) from one ``_obs_terms`` result and one
-    ``_alpha_and_grad`` result of the same point and order, m observations.
+    """(l_p, sum psi, Hessian of l_p) from the order-2 ``_obs_terms`` and
+    ``_alpha_and_grad`` results of one point, m observations.
 
-    sum psi = sum grad log f - m grad alpha / alpha; the Hessian, None
-    at order 1, is sum H log f - m (H alpha / alpha - grad alpha grad
-    alpha' / alpha^2).
+    sum psi = sum grad log f - m grad alpha / alpha; the Hessian is
+    sum H log f - m (H alpha / alpha - grad alpha grad alpha' / alpha^2).
     """
-    logf, g1, g2, *h = obs
+    logf, (g1, g2), h = obs
     a, d_t, d_v, *d2 = a_terms
     value = float(np.sum(logf)) - m * math.log(a)
     grad = np.array([float(np.sum(g1)) - m * d_t / a, float(np.sum(g2)) - m * d_v / a])
-    if not h:
-        return value, grad, None
-    h_tt, h_tv, h_vv = (float(np.sum(hk)) - m * d2k / a for hk, d2k in zip(h[0], d2))
+    h_tt, h_tv, h_vv = (float(np.sum(hk)) - m * d2k / a for hk, d2k in zip(h, d2))
     r = np.array([d_t, d_v]) / a
     return value, grad, np.array([[h_tt, h_tv], [h_tv, h_vv]]) + m * np.outer(r, r)
 
@@ -89,8 +81,8 @@ def _profile_terms(m: int, obs, a_terms):
 def _psi(obs, a_terms):
     """Per-observation profile scores (psi_theta, psi_vartheta) = grad log f
     - grad alpha / alpha from one ``_obs_terms`` result and one
-    ``_alpha_and_grad`` result of the same point."""
-    _, g1, g2, *_ = obs
+    ``_alpha_and_grad`` result of the same point, both of order 1 or 2."""
+    _, (g1, g2), _ = obs
     a, d_t, d_v, *_ = a_terms
     return g1 - d_t / a, g2 - d_v / a
 
@@ -110,7 +102,7 @@ def log_likelihood(params: ModelParams, n: float, sample: TruncatedSample) -> fl
         sample.design.big_g,
         sample.x_arr,
         sample.t_arr,
-        want_grads=False,
+        0,
     )
     return _log_lik(sample.m, n, logf, alpha(params, sample.design), sample.design)
 
@@ -127,8 +119,7 @@ def profile_n(m: int, alpha_value: float) -> int:
     Equals ceil(m/alpha) - 1; in particular the exact-integer case
     m/alpha in N returns m/alpha - 1.
     """
-    if m != int(m) or m < 1:
-        raise DomainError(f"m={m!r} must be a positive integer")
+    _check_positive_int("m", m)
     if not 0.0 < alpha_value < 1.0:
         raise DomainError(f"alpha={alpha_value!r} outside (0,1)")
     return math.ceil(m / alpha_value) - 1
@@ -138,18 +129,18 @@ def full_score(params: ModelParams, n: float, sample: TruncatedSample) -> tuple[
     """Gradient of log_likelihood in (theta, vartheta) at real n > 0."""
     if not (math.isfinite(n) and n > 0.0):
         raise DomainError(f"n={n!r} must be a positive real")
-    _, g1, g2 = _obs_terms(
+    _, (g1, g2), _ = _obs_terms(
         params.family,
         params.theta,
         params.vartheta,
         sample.design.big_g,
         sample.x_arr,
         sample.t_arr,
-        want_logf=False,
+        1,
     )
     _, d_t, d_v = _alpha_and_grad(
         params.family, params.theta, params.vartheta,
-        sample.design.big_g, sample.design.s,
+        sample.design.big_g, sample.design.s, 1,
     )
     return (float(np.sum(g1) - n * d_t), float(np.sum(g2) - n * d_v))
 
@@ -161,6 +152,6 @@ def profile_score(params: ModelParams, sample: TruncatedSample) -> np.ndarray:
     the gradient of the profile objective l_p.
     """
     fam, th, vt, design = params.family, params.theta, params.vartheta, sample.design
-    obs = _obs_terms(fam, th, vt, design.big_g, sample.x_arr, sample.t_arr, want_logf=False)
-    a_terms = _alpha_and_grad(fam, th, vt, design.big_g, design.s)
+    obs = _obs_terms(fam, th, vt, design.big_g, sample.x_arr, sample.t_arr, 1)
+    a_terms = _alpha_and_grad(fam, th, vt, design.big_g, design.s, 1)
     return np.column_stack(_psi(obs, a_terms))

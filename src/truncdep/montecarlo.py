@@ -27,7 +27,13 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .copula import CopulaFamily, ModelParams, StudyDesign
-from .errors import ConvergenceError, DomainError, InvariantError, TruncdepError
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    InvariantError,
+    TruncdepError,
+    _check_positive_int,
+)
 from .estimation import fit
 from .inference import wald_boundary_test, wald_interior_test_fgm
 from .likelihood import _obs_terms, _profile_terms
@@ -58,11 +64,6 @@ MC_SE_KEYS = (
     "bias_theta", "bias_vartheta", "var_theta", "var_vartheta",
     "rejection_rate", "boundary_fraction",
 )
-
-
-def _check_positive_int(name: str, value) -> None:
-    if not (isinstance(value, (int, np.integer)) and value >= 1):
-        raise DomainError(f"{name}={value!r} must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -190,10 +191,11 @@ def iter_replications(
 ) -> Iterator[RepRecord]:
     """Yield replication records in replication order.
 
-    ``threads`` > 1 fans the work out to a process pool; None uses one
-    worker per logical core.  The records are identical either way.
+    ``threads`` > 1 fans the work out to a process pool of at most one
+    worker per replication; None uses one worker per logical core.  The
+    records are identical either way.
     """
-    threads = _resolve_threads(threads)
+    threads = min(_resolve_threads(threads), spec.replications)
     reps = range(spec.replications)
     if threads == 1:
         for rep in reps:
@@ -325,8 +327,8 @@ def hessian_det_scan(
             x, t = x[keep], t[keep]
             _, _, hess = _profile_terms(
                 x.size,
-                _obs_terms(family, th, vt, design.big_g, x, t, want_hess=True),
-                _alpha_and_grad(family, th, vt, design.big_g, design.s, want_hess=True),
+                _obs_terms(family, th, vt, design.big_g, x, t, 2),
+                _alpha_and_grad(family, th, vt, design.big_g, design.s, 2),
             )
             out[i, j] = (hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[1, 0]) / float(n_mc) ** 2
     return out

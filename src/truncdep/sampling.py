@@ -29,7 +29,7 @@ from .copula import (
     _fgm_inv_cond,
     _gb_inv_cond,
 )
-from .errors import DataError, DomainError
+from .errors import DataError, _check_positive_int
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,8 +60,7 @@ class TruncatedSample:
                 f"for G={design.big_g}, s={design.s}"
             )
         if n_latent is not None:
-            if n_latent < 1 or n_latent != int(n_latent):
-                raise DataError(f"n_latent={n_latent!r} must be a positive integer")
+            _check_positive_int("n_latent", n_latent, DataError)
             if x.size > n_latent:
                 raise DataError(f"M={x.size} exceeds n_latent={n_latent}")
         x.setflags(write=False)
@@ -123,8 +122,7 @@ def simulate_truncated(
     params: ModelParams, design: StudyDesign, n: int, rng: np.random.Generator
 ) -> TruncatedSample:
     """Draw n latent pairs and keep those in D, recording n_latent = n."""
-    if n < 1 or n != int(n):
-        raise DomainError(f"n={n!r} must be a positive integer")
+    _check_positive_int("n", n)
     x, t = _draw_latent_arrays(params, design, int(n), rng)
     keep = _in_region(x, t, design)
     return TruncatedSample.from_arrays(x[keep], t[keep], design, n_latent=int(n))

@@ -4,24 +4,25 @@ A unit born at T with lifetime X enters the observed sample only when it
 fails inside the observation window, i.e. on the parallelogram
 D = {0 < t <= G, t <= x <= t+s}.  The probability alpha of that event
 normalizes the observed-data likelihood, and its first two derivative
-orders feed the score and information calculations.
+orders feed the score and information calculations.  ``_alpha_and_grad``
+returns alpha with its partials up to one derivative order (0, 1 or 2);
+``alpha`` is its order-0 value with the range check.
 
 The Gumbel-Barnett alpha has no closed form, but its lifetime integral
 does: alpha = (1/G) int_0^G [S(t | t) - S(t+s | t)] dt with the
 conditional survival function S(u | t) = P{X > u | T = t}.  The
 birth-time average runs on the fixed 160-node rule of ``_quad`` (machine
-precision; the fit hot path evaluates alpha thousands of times), with a
-rate-adapted rule once theta*G leaves the cached rule's validated
-accuracy range.  The first and second partials integrate the exact
-partials of S, from the survival pieces in ``copula``, on the same nodes.
-FGM alpha is closed form, linear in vartheta, and written once with its
-analytic derivatives (``_fgm_chain``).
+precision; one pass over the nodes per call, and a fit makes one call
+per objective evaluation), with a rate-adapted rule once theta*G leaves
+the cached rule's validated accuracy range.  The first and second
+partials integrate the exact partials of S, from the survival pieces in
+``copula``, on the same nodes.  FGM alpha is closed form, linear in
+vartheta, and written once with its analytic derivatives (``_fgm_chain``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,31 +36,12 @@ from .errors import InvariantError
 _FIXED_LIMIT = 60.0
 
 
-@dataclass(frozen=True)
-class AlphaBundle:
-    """Selection probability with first and second partial derivatives.
-
-    ``d2_theta_vartheta`` is the mixed partial; the Hessian is symmetric.
-    """
-
-    alpha: float
-    d_theta: float
-    d_vartheta: float
-    d2_theta_theta: float
-    d2_theta_vartheta: float
-    d2_vartheta_vartheta: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise InvariantError(f"alpha={self.alpha!r} outside (0,1)")
-
-
 # ---------------------------------------------------------------------------
 # Gumbel-Barnett: the survival difference averaged over birth times
 
 
 def _gb_fixed(theta, vartheta, big_g, s, order: int) -> tuple[float, ...]:
-    """The first 1, 3 or 6 ``AlphaBundle`` fields for order 0, 1 or 2.
+    """The first 1, 3 or 6 ``_alpha_and_grad`` fields for order 0, 1 or 2.
 
     Sums w * (near - far) on the birth-time rule, with near the survival
     function S (or a partial) at u = t and far at u = t + s.  Parameters
@@ -100,7 +82,8 @@ def _fgm_w(a, big_g):
 
 
 def _fgm_chain(theta, vartheta, big_g, s):
-    """All six bundle fields from the linear-in-vartheta decomposition.
+    """All six ``_alpha_and_grad`` fields from the linear-in-vartheta
+    decomposition.
 
     alpha = a0(theta) + vartheta*a1(theta), so the vartheta derivatives
     are exact: d_vartheta = a1, d2_vartheta_vartheta = 0.
@@ -147,11 +130,9 @@ def alpha(params: ModelParams, design: StudyDesign) -> float:
     FGM is closed form; Gumbel-Barnett averages the closed-form window
     hit probability over birth times on the fixed 160-node rule.
     """
-    th, vt, big_g, s = params.theta, params.vartheta, design.big_g, design.s
-    if params.family is CopulaFamily.FGM:
-        value = _fgm_chain(th, vt, big_g, s)[0]
-    else:
-        (value,) = _gb_fixed(th, vt, big_g, s, 0)
+    (value,) = _alpha_and_grad(
+        params.family, params.theta, params.vartheta, design.big_g, design.s, 0
+    )
     if not 0.0 < value < 1.0:
         raise InvariantError(f"alpha={value!r} outside (0,1)")
     return value
@@ -163,29 +144,17 @@ def _alpha_and_grad(
     vartheta: float,
     big_g: float,
     s: float,
-    want_hess: bool = False,
+    order: int,
 ) -> tuple[float, ...]:
-    """(alpha, dalpha/dtheta, dalpha/dvartheta) without box validation.
-
-    ``want_hess`` appends the three second partials, giving the six
-    ``AlphaBundle`` fields in order.  The optimizer hot path: one pass
-    over the birth-time rule for Gumbel-Barnett, closed forms for FGM.
-    """
-    if family is CopulaFamily.FGM:
-        terms = _fgm_chain(theta, vartheta, big_g, s)
-        return terms if want_hess else terms[:3]
-    return _gb_fixed(theta, vartheta, big_g, s, 2 if want_hess else 1)
-
-
-def alpha_bundle(params: ModelParams, design: StudyDesign) -> AlphaBundle:
-    """Alpha with first and second partials in (theta, vartheta).
+    """The first 1, 3 or 6 of (alpha, dalpha/dtheta, dalpha/dvartheta,
+    d2alpha/dtheta2, d2alpha/dtheta dvartheta, d2alpha/dvartheta2) for
+    ``order`` 0, 1 or 2, without box validation.
 
     FGM is fully analytic.  For Gumbel-Barnett every partial integrates
     the exact partial of the survival difference (differentiation under
     the integral is valid: the integrand and its partials are bounded by
     integrable multiples of e^{-y}) in one pass over the birth-time rule.
     """
-    th, vt = params.theta, params.vartheta
-    return AlphaBundle(
-        *_alpha_and_grad(params.family, th, vt, design.big_g, design.s, want_hess=True)
-    )
+    if family is CopulaFamily.FGM:
+        return _fgm_chain(theta, vartheta, big_g, s)[: (1, 3, 6)[order]]
+    return _gb_fixed(theta, vartheta, big_g, s, order)

@@ -189,7 +189,7 @@ def lbfgsb_multistart_oracle(neg_lp, naive, vartheta_starts, bounds, gtol):
     """Best of SciPy L-BFGS-B runs from a 3x3 grid of starts.
 
     theta starts at ``naive`` * (0.6, 1.0, 1.6), vartheta at each of
-    ``vartheta_starts``; ``neg_lp(z)`` returns -l_p and its gradient.
+    ``vartheta_starts``; ``neg_lp(z)`` returns -l_p and its gradient first.
     Returns the minimizer with the lowest objective and l_p there.
     """
     from scipy.optimize import minimize
@@ -200,7 +200,7 @@ def lbfgsb_multistart_oracle(neg_lp, naive, vartheta_starts, bounds, gtol):
         for vt in vartheta_starts:
             z0 = np.clip([naive * factor, vt], lo, hi)
             res = minimize(
-                neg_lp, z0, jac=True, method="L-BFGS-B", bounds=bounds,
+                lambda z: neg_lp(z)[:2], z0, jac=True, method="L-BFGS-B", bounds=bounds,
                 options={"maxiter": 500, "ftol": 1e-15, "gtol": gtol},
             )
             if best is None or res.fun < best.fun:

@@ -177,8 +177,8 @@ def test_criterion_04_profile_score_correctness():
     n = 100_000
     x, t = _draw_latent_arrays(params0, D3, n, np.random.default_rng(404))
     keep = _in_region(x, t, D3)
-    _, g1, g2 = _obs_terms(GB, 0.05, 0.3, 24.0, x[keep], t[keep], want_logf=False)
-    a, d_t, d_v = _alpha_and_grad(GB, 0.05, 0.3, 24.0, 3.0)
+    _, (g1, g2), _ = _obs_terms(GB, 0.05, 0.3, 24.0, x[keep], t[keep], 1)
+    a, d_t, d_v = _alpha_and_grad(GB, 0.05, 0.3, 24.0, 3.0, 1)
     psi = np.zeros((n, 2))
     psi[keep, 0] = g1 - d_t / a
     psi[keep, 1] = g2 - d_v / a
@@ -202,10 +202,8 @@ def test_criterion_05_information_matrix_equality():
     info_op = fisher_info_hat(params0, sample)
 
     def total_score(th, vt):
-        _, g1, g2 = _obs_terms(
-            GB, th, vt, 24.0, sample.x_arr, sample.t_arr, want_logf=False
-        )
-        a, d_t, d_v = _alpha_and_grad(GB, th, vt, 24.0, 3.0)
+        _, (g1, g2), _ = _obs_terms(GB, th, vt, 24.0, sample.x_arr, sample.t_arr, 1)
+        a, d_t, d_v = _alpha_and_grad(GB, th, vt, 24.0, 3.0, 1)
         return np.array(
             [float(np.sum(g1)) - sample.m * d_t / a,
              float(np.sum(g2)) - sample.m * d_v / a]
@@ -215,7 +213,7 @@ def test_criterion_05_information_matrix_equality():
     jac = np.empty((2, 2))
     jac[:, 0] = (total_score(0.1 + h_th, 0.3) - total_score(0.1 - h_th, 0.3)) / (2 * h_th)
     jac[:, 1] = (total_score(0.1, 0.3 + h_vt) - total_score(0.1, 0.3 - h_vt)) / (2 * h_vt)
-    a0, _, _ = _alpha_and_grad(GB, 0.1, 0.3, 24.0, 3.0)
+    a0, _, _ = _alpha_and_grad(GB, 0.1, 0.3, 24.0, 3.0, 1)
     n_hat = profile_n(sample.m, a0)
     info_fd = -jac / n_hat
     rel = np.abs(info_fd - info_op) / np.abs(info_op)

@@ -141,7 +141,7 @@ def test_profile_n_at_least_m():
 def test_full_score_empty_sample_is_alpha_gradient_term():
     params = ModelParams(GB, 0.1, 0.3)
     n = 500.0
-    _, d_t, d_v = _alpha_and_grad(GB, 0.1, 0.3, 24.0, 3.0)
+    _, d_t, d_v = _alpha_and_grad(GB, 0.1, 0.3, 24.0, 3.0, 1)
     got = full_score(params, n, empty_sample())
     assert got[0] == pytest.approx(-n * d_t, rel=1e-12)
     assert got[1] == pytest.approx(-n * d_v, rel=1e-12)
@@ -194,7 +194,7 @@ def test_full_score_gb_boundary_one_sided_fd():
 def test_full_score_independence_theta_component():
     params, sample = random_sample(GB, 0.07, 0.0, 2000, 10)
     n = 5000.0
-    _, d_t, _ = _alpha_and_grad(GB, 0.07, 0.0, 24.0, 3.0)
+    _, d_t, _ = _alpha_and_grad(GB, 0.07, 0.0, 24.0, 3.0, 1)
     expected = sample.m / 0.07 - float(np.sum(sample.x_arr)) - n * d_t
     assert full_score(params, n, sample)[0] == pytest.approx(expected, rel=1e-12)
 
@@ -231,8 +231,8 @@ def test_profile_score_mean_zero_at_truth():
 
     x, t = _draw_latent_arrays(params, DESIGN, n, np.random.default_rng(1234))
     keep = _in_region(x, t, DESIGN)
-    _, g1, g2 = _obs_terms(GB, 0.05, 0.3, 24.0, x[keep], t[keep], want_logf=False)
-    a, d_t, d_v = _alpha_and_grad(GB, 0.05, 0.3, 24.0, 3.0)
+    _, (g1, g2), _ = _obs_terms(GB, 0.05, 0.3, 24.0, x[keep], t[keep], 1)
+    a, d_t, d_v = _alpha_and_grad(GB, 0.05, 0.3, 24.0, 3.0, 1)
     psi = np.zeros((n, 2))
     psi[keep, 0] = g1 - d_t / a
     psi[keep, 1] = g2 - d_v / a
@@ -245,6 +245,22 @@ def test_profile_score_mean_zero_at_truth():
     np.testing.assert_array_equal(profile_score(params, sample), psi[keep])
 
 
+@pytest.mark.parametrize("family,theta,vt", [(GB, 0.08, 0.0), (GB, 0.05, 0.3), (FGM, 0.1, -0.5)])
+def test_lower_orders_are_bitwise_prefixes_of_higher_ones(family, theta, vt):
+    # any derivative order may serve a caller that reads only leading terms
+    _, sample = random_sample(family, theta, vt, 20_000, 8)
+    x, t = sample.x_arr, sample.t_arr
+    obs = [_obs_terms(family, theta, vt, 24.0, x, t, k) for k in (0, 1, 2)]
+    assert obs[0][1] == (None, None) and obs[0][2] is None and obs[1][2] is None
+    for logf, _, _ in obs[1:]:
+        np.testing.assert_array_equal(logf, obs[0][0])
+    for g1, g2 in zip(obs[1][1], obs[2][1]):
+        np.testing.assert_array_equal(g1, g2)
+    a = [_alpha_and_grad(family, theta, vt, 24.0, 3.0, k) for k in (0, 1, 2)]
+    assert [len(terms) for terms in a] == [1, 3, 6]
+    assert a[2][:3] == a[1] and a[1][:1] == a[0]
+
+
 @pytest.mark.parametrize(
     "family,theta,vt",
     [(GB, 0.08, 0.0), (GB, 0.05, 0.3), (GB, 0.3, 0.8), (FGM, 0.08, 0.4), (FGM, 0.1, -0.5)],
@@ -254,11 +270,11 @@ def test_obs_hessian_matches_fd_of_gradients(family, theta, vt):
     # of the summed analytic gradient; GB at vt = 0 steps outside the box
     _, sample = random_sample(family, theta, vt, 30_000, 3)
     x, t = sample.x_arr, sample.t_arr
-    *_, hess = _obs_terms(family, theta, vt, 24.0, x, t, want_hess=True)
+    *_, hess = _obs_terms(family, theta, vt, 24.0, x, t, 2)
     exact = np.array([np.sum(h) for h in hess])
 
     def summed_grad(z):
-        _, g1, g2 = _obs_terms(family, z[0], z[1], 24.0, x, t, want_logf=False)
+        _, (g1, g2), _ = _obs_terms(family, z[0], z[1], 24.0, x, t, 1)
         return np.array([np.sum(g1), np.sum(g2)])
 
     z, h = np.array([theta, vt]), np.array([1e-6 * theta, 1e-6])

@@ -1,6 +1,9 @@
 """Replication driver, aggregation identities, and the curvature scan."""
 
+import csv
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +181,30 @@ def test_iter_replications_deterministic_across_thread_counts():
     assert [r.rep for r in serial] == [0, 1, 2, 3]
 
 
+def test_iter_replications_pool_has_at_most_one_worker_per_replication(monkeypatch):
+    # a serial stand-in for the pool records its size and starts no process
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr("truncdep.montecarlo.ProcessPoolExecutor", SerialPool)
+    spec = gb_spec(n=2_000, replications=2, seed=7)
+    pooled = list(iter_replications(spec, threads=16))
+    assert seen == [2]
+    assert pooled == list(iter_replications(spec, threads=1))
+
+
 def test_run_scenario_gb_smoke():
     s = run_scenario(gb_spec(), threads=1)
     assert s.failures == 0
@@ -270,6 +297,22 @@ def test_hessian_det_scan_matches_central_difference(theta, vartheta):
     want = np.linalg.det(jac) / n_mc**2
     got = hessian_det_scan([theta], [vartheta], DESIGN, n_mc, seed=seed)[0, 0]
     assert got == pytest.approx(want, rel=1e-6)
+
+
+def test_det_surface_scan_script_writes_the_grid(tmp_path):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "det_surface_scan.py"
+    loader = importlib.util.spec_from_file_location("det_surface_scan", path)
+    script = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(script)
+    out = tmp_path / "dets.csv"
+    argv = ["--theta-grid", "0.08", "--vartheta-grid", "0.0", "0.3",
+            "--n-mc", "2000", "--out", str(out)]
+    assert script.main(argv) == 0
+    with open(out, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["theta0", "vartheta0", "det"]
+    assert [row[:2] for row in rows] == [["0.08", "0.0"], ["0.08", "0.3"]]
+    assert all(math.isfinite(float(row[2])) for row in rows)
 
 
 def test_hessian_det_scan_rejects_bad_n_mc():

@@ -13,9 +13,11 @@ from truncdep import (
     DomainError,
     ModelParams,
     StudyDesign,
+    ScenarioSpec,
     TruncatedSample,
     alpha,
     kendall_tau,
+    profile_n,
     simulate_truncated,
 )
 from truncdep.sampling import _draw_latent_arrays, _in_region
@@ -113,6 +115,40 @@ def test_simulate_rejects_nonpositive_n():
     params = ModelParams(GB, 0.05, 0.1)
     with pytest.raises(DomainError):
         simulate_truncated(params, DESIGN, 0, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "name,error,call",
+    [
+        (
+            "n_latent",
+            DataError,
+            lambda v: TruncatedSample.from_arrays(
+                np.array([2.0]), np.array([1.0]), DESIGN, n_latent=v
+            ),
+        ),
+        (
+            "n",
+            DomainError,
+            lambda v: simulate_truncated(
+                ModelParams(GB, 0.05, 0.1), DESIGN, v, np.random.default_rng(0)
+            ),
+        ),
+        ("m", DomainError, lambda v: profile_n(v, 0.1)),
+        (
+            "n",
+            DomainError,
+            lambda v: ScenarioSpec(DESIGN, v, ModelParams(GB, 0.05, 0.1), 2, 0),
+        ),
+    ],
+    ids=["n_latent", "simulate_n", "profile_n_m", "scenario_n"],
+)
+def test_non_finite_count_raises_package_error(name, error, call, value):
+    # one positive-integer rule: floats, NaN and infinities included, raise
+    # the operation's own error class with its message
+    with pytest.raises(error, match=f"^{name}=-?(nan|inf) must be a positive integer$"):
+        call(value)
 
 
 def test_forced_out_of_region_draw_gives_empty_sample():

@@ -1,4 +1,4 @@
-"""Selection probability alpha and its derivative bundle."""
+"""Selection probability alpha and its partials up to second order."""
 
 import math
 import time
@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import dblquad
 
-from truncdep import AlphaBundle, CopulaFamily, ModelParams, StudyDesign, joint_density
-from truncdep.selection import _alpha_and_grad, alpha, alpha_bundle
+from truncdep import CopulaFamily, ModelParams, StudyDesign, joint_density
+from truncdep.selection import _alpha_and_grad, alpha
 
 from oracles import alpha_oracle, fd_gradient
 
@@ -133,13 +133,14 @@ def test_alpha_increasing_in_window_length():
 
 
 # ---------------------------------------------------------------------------
-# derivative bundle
+# alpha with its first and second partials (``_alpha_and_grad``)
 
 
 def test_bundle_alpha_field_consistent():
     design = StudyDesign(24.0, 3.0)
-    for params in (ModelParams(GB, 0.05, 0.0), ModelParams(FGM, 0.1, 0.1)):
-        assert alpha_bundle(params, design).alpha == alpha(params, design)
+    for family, theta, vt in ((GB, 0.05, 0.0), (FGM, 0.1, 0.1)):
+        value = _alpha_and_grad(family, theta, vt, 24.0, 3.0, 2)[0]
+        assert value == alpha(ModelParams(family, theta, vt), design)
 
 
 @pytest.mark.parametrize(
@@ -154,21 +155,14 @@ def test_bundle_alpha_field_consistent():
 )
 def test_bundle_gradient_matches_fd(family, theta, vt, big_g, s):
     design = StudyDesign(big_g, s)
-    bundle = alpha_bundle(ModelParams(family, theta, vt), design)
+    _, d_theta, d_vartheta = _alpha_and_grad(family, theta, vt, big_g, s, 1)
 
     def a_of(z):
         return alpha(ModelParams(family, float(z[0]), float(z[1])), design)
 
     fd = fd_gradient(a_of, np.array([theta, vt]), np.array([1e-6 * theta, 1e-6]))
-    assert bundle.d_theta == pytest.approx(fd[0], rel=1e-6)
-    assert bundle.d_vartheta == pytest.approx(fd[1], rel=1e-6, abs=1e-12)
-
-
-def test_bundle_is_frozen_dataclass():
-    bundle = alpha_bundle(ModelParams(GB, 0.05, 0.1), StudyDesign(24.0, 3.0))
-    assert isinstance(bundle, AlphaBundle)
-    with pytest.raises(AttributeError):
-        bundle.alpha = 0.5
+    assert d_theta == pytest.approx(fd[0], rel=1e-6)
+    assert d_vartheta == pytest.approx(fd[1], rel=1e-6, abs=1e-12)
 
 
 def test_table_grid_runtime_under_budget():
@@ -190,15 +184,15 @@ def test_table_grid_runtime_under_budget():
     ],
 )
 def test_bundle_second_partials_match_fd_of_gradient(family, theta, vt, big_g, s):
-    bundle = alpha_bundle(ModelParams(family, theta, vt), StudyDesign(big_g, s))
+    *_, d2_tt, d2_tv, d2_vv = _alpha_and_grad(family, theta, vt, big_g, s, 2)
 
     def grad(th, v):
-        return np.array(_alpha_and_grad(family, th, v, big_g, s)[1:])
+        return np.array(_alpha_and_grad(family, th, v, big_g, s, 1)[1:])
 
     h_t, h_v = 1e-5 * theta, 1e-5
     col_t = (grad(theta + h_t, vt) - grad(theta - h_t, vt)) / (2.0 * h_t)
     col_v = (grad(theta, vt + h_v) - grad(theta, vt - h_v)) / (2.0 * h_v)
-    assert bundle.d2_theta_theta == pytest.approx(col_t[0], rel=1e-6)
-    assert bundle.d2_theta_vartheta == pytest.approx(col_t[1], rel=1e-6)
-    assert bundle.d2_theta_vartheta == pytest.approx(col_v[0], rel=1e-6)
-    assert bundle.d2_vartheta_vartheta == pytest.approx(col_v[1], rel=1e-6, abs=1e-12)
+    assert d2_tt == pytest.approx(col_t[0], rel=1e-6)
+    assert d2_tv == pytest.approx(col_t[1], rel=1e-6)
+    assert d2_tv == pytest.approx(col_v[0], rel=1e-6)
+    assert d2_vv == pytest.approx(col_v[1], rel=1e-6, abs=1e-12)
