@@ -6,6 +6,7 @@ fit        maximum-likelihood fit of (theta, vartheta) from an x,t CSV
 test       fit plus the independence test (and trend report under FGM)
 simulate   draw a truncated sample to CSV
 mc         Monte Carlo study over one or more scenarios
+scan       determinant of the mean score Jacobian over a (theta, vartheta) grid
 alpha      print the selection probability for given parameters
 tau        print Kendall's tau for given parameters
 
@@ -44,7 +45,9 @@ from .inference import (
     wald_boundary_test,
     wald_interior_test_fgm,
 )
-from .montecarlo import MC_SE_KEYS, McSummary, ScenarioSpec, power_curve, run_scenario
+from .montecarlo import (
+    MC_SE_KEYS, McSummary, ScenarioSpec, hessian_det_scan, power_curve, run_scenario,
+)
 from .sampling import TruncatedSample, _in_region, simulate_truncated
 from .selection import alpha
 
@@ -445,6 +448,24 @@ def _cmd_mc(args: argparse.Namespace) -> int:
     return 0
 
 
+def _cmd_scan(args: argparse.Namespace) -> int:
+    design = StudyDesign(big_g=args.big_g, s=args.s)
+    family = _family_from_tag(args.family)
+    dets = hessian_det_scan(
+        args.theta_grid, args.vartheta_grid, design, args.n_mc, args.seed, family=family
+    )
+    grid = [(th0, vt0) for th0 in args.theta_grid for vt0 in args.vartheta_grid]
+    rows = [(*point, det) for point, det in zip(grid, dets.ravel())]
+    _write_text(_csv_text(["theta0", "vartheta0", "det"], rows), args.out)
+    th0, vt0, det = rows[int(np.argmin(dets))]
+    print(
+        f"minimum det {det:.6f} at theta0={th0} vartheta0={vt0} (n_mc={args.n_mc}; "
+        "the trough is flat, so the argmin moves between runs at modest n_mc)",
+        file=sys.stderr,
+    )
+    return 0
+
+
 def _cmd_alpha(args: argparse.Namespace) -> int:
     params = ModelParams(_family_from_tag(args.family), args.theta, args.vartheta)
     design = StudyDesign(big_g=args.big_g, s=args.s)
@@ -524,6 +545,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--format", choices=["csv", "json"], default="csv")
     p_mc.add_argument("--out", help="write the summary here instead of stdout")
     p_mc.set_defaults(func=_cmd_mc)
+
+    p_scan = commands.add_parser("scan", help="score-Jacobian determinant over a grid")
+    p_scan.add_argument("--family", choices=sorted(_FAMILY_BY_TAG), default="gb")
+    p_scan.add_argument("--theta-grid", nargs="+", type=float,
+                        default=[0.05, 0.08, 0.1, 0.15, 0.2])
+    p_scan.add_argument("--vartheta-grid", nargs="+", type=float,
+                        default=[0.0, 0.25, 0.5, 0.75, 0.999])
+    _add_design_flags(p_scan)
+    p_scan.add_argument("--n-mc", type=int, default=200_000)
+    p_scan.add_argument("--seed", type=int, default=90)
+    p_scan.add_argument("--out", help="write CSV here instead of stdout")
+    p_scan.set_defaults(func=_cmd_scan)
 
     p_alpha = commands.add_parser("alpha", help="print the selection probability")
     p_alpha.add_argument("family", choices=sorted(_FAMILY_BY_TAG))

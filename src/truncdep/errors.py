@@ -1,5 +1,5 @@
-"""Exception hierarchy shared by all truncdep modules, and the one
-positive-integer check that raises from it."""
+"""Exception hierarchy shared by all truncdep modules, and the
+positive-integer and seed checks that raise from it."""
 
 import numpy as np
 
@@ -37,3 +37,9 @@ def _check_positive_int(
     """
     if not (isinstance(value, (int, np.integer)) and value >= 1):
         raise error(f"{name}={value!r} must be a positive integer")
+
+
+def _check_seed(seed) -> None:
+    """Raise ``DomainError`` unless ``seed`` is an integer in [0, 2**64)."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
+        raise DomainError(f"seed={seed!r} must be a 64-bit unsigned integer")

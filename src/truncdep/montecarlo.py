@@ -33,6 +33,7 @@ from .errors import (
     InvariantError,
     TruncdepError,
     _check_positive_int,
+    _check_seed,
 )
 from .estimation import fit
 from .inference import wald_boundary_test, wald_interior_test_fgm
@@ -87,8 +88,7 @@ class ScenarioSpec:
         _check_positive_int("replications", self.replications)
         if self.replications < 2:
             raise DomainError("replications must be at least 2")
-        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
-            raise DomainError(f"seed={self.seed!r} must be a 64-bit unsigned integer")
+        _check_seed(self.seed)
         if not (0.0 < self.level < 1.0):
             raise DomainError(f"level={self.level!r} must lie in (0, 1)")
         if (
@@ -153,11 +153,9 @@ class McSummary:
 
 def _resolve_threads(threads: int | None) -> int:
     if threads is None:
-        threads = os.cpu_count() or 1
-    threads = int(threads)
-    if threads < 1:
-        raise DomainError(f"threads={threads} must be at least 1")
-    return threads
+        return os.cpu_count() or 1
+    _check_positive_int("threads", threads)
+    return int(threads)
 
 
 def _replicate(spec: ScenarioSpec, rep: int) -> RepRecord:
@@ -314,6 +312,7 @@ def hessian_det_scan(
     the curvature condition the estimator's asymptotic normality rests on.
     """
     _check_positive_int("n_mc", n_mc)
+    _check_seed(seed)
     tg = np.atleast_1d(np.asarray(theta_grid, dtype=float))
     vg = np.atleast_1d(np.asarray(vartheta_grid, dtype=float))
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed))

@@ -9,7 +9,14 @@ import jsonschema
 import numpy as np
 import pytest
 
-from truncdep import CopulaFamily, DataError, ModelParams, StudyDesign, simulate_truncated
+from truncdep import (
+    CopulaFamily,
+    DataError,
+    ModelParams,
+    StudyDesign,
+    hessian_det_scan,
+    simulate_truncated,
+)
 from truncdep.cli import _MC_COLUMNS, _plain_rows, _read_sample, main
 
 from oracles import read_xt_oracle
@@ -149,6 +156,17 @@ def test_fit_boundary_note_present(tmp_path, capsys):
     assert payload["at_boundary"]
     assert payload["vartheta_hat"] == 0.0
     assert any("boundary" in note for note in payload["notes"])
+
+
+def test_fit_nonconvergence_exits_3_with_note(tmp_path, capsys, monkeypatch):
+    csv_path = simulate_csv(tmp_path)
+    capsys.readouterr()
+    monkeypatch.setattr("truncdep.estimation._MAX_ITER", 1)
+    rc = main(["fit", str(csv_path), "--family", "gb", "--G", "24", "--s", "3"])
+    assert rc == 3
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["converged"] is False
+    assert "optimizer did not meet the convergence contract" in payload["notes"]
 
 
 def test_fit_missing_file_exits_2(capsys):
@@ -600,3 +618,39 @@ def test_mc_json_non_finite_becomes_null(capsys):
     }
     assert _jsonable(True) is True
     assert _jsonable({"flag": False}) == {"flag": False}
+
+
+# ---------------------------------------------------------------------------
+# scan command
+
+SCAN_FLAGS = [
+    "scan", "--theta-grid", "0.08", "0.1", "--vartheta-grid", "0.0", "0.3",
+    "--G", "24", "--s", "3", "--n-mc", "2000", "--seed", "5",
+]
+
+
+def test_scan_writes_the_grid(tmp_path, capsys):
+    out = tmp_path / "dets.csv"
+    assert main(SCAN_FLAGS + ["--out", str(out)]) == 0
+    data = out.read_bytes()
+    assert b"\r" not in data
+    header, *rows = [line.split(",") for line in data.decode().splitlines()]
+    assert header == ["theta0", "vartheta0", "det"]
+    assert [row[:2] for row in rows] == [
+        ["0.08", "0.0"], ["0.08", "0.3"], ["0.1", "0.0"], ["0.1", "0.3"],
+    ]
+    dets = hessian_det_scan([0.08, 0.1], [0.0, 0.3], StudyDesign(24.0, 3.0), 2000, 5)
+    np.testing.assert_array_equal([float(row[2]) for row in rows], dets.ravel())
+    assert capsys.readouterr().err.startswith("minimum det ")
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [("--n-mc", "0", "n_mc=0"), ("--G", "-1", "big_g=-1.0"), ("--seed", "-1", "seed=-1")],
+)
+def test_scan_domain_error_exits_2(capsys, flag, value, message):
+    flags = list(SCAN_FLAGS)
+    flags[flags.index(flag) + 1] = value
+    assert main(flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err

@@ -269,6 +269,18 @@ def test_joint_cdf_zero_at_x_zero():
     assert joint_cdf(params, StudyDesign(24.0, 3.0), 0.0, 12.0) == 0.0
 
 
+def test_joint_cdf_fgm_is_the_copula_at_the_margins():
+    params = ModelParams(FGM, 0.1, -0.6)
+    design = StudyDesign(24.0, 3.0)
+    for x, t in [(0.5, 1.0), (10.0, 12.0), (40.0, 23.9)]:
+        want = copula_cdf_oracle(FGM, -math.expm1(-0.1 * x), t / 24.0, -0.6)
+        assert joint_cdf(params, design, x, t) == pytest.approx(want, rel=1e-14)
+    assert joint_cdf(params, design, 10.0, 24.0) == -math.expm1(-1.0)
+    assert joint_cdf(params, design, 10.0, 30.0) == -math.expm1(-1.0)
+    assert joint_cdf(params, design, 0.0, 12.0) == 0.0
+    assert joint_cdf(params, design, -1.0, 12.0) == 0.0
+
+
 def test_joint_cdf_quadrature_point():
     # frozen dblquad of the latent density over [0,10] x [0,12]
     params = ModelParams(GB, 0.1, 0.5)

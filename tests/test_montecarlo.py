@@ -1,9 +1,6 @@
 """Replication driver, aggregation identities, and the curvature scan."""
 
-import csv
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -205,6 +202,27 @@ def test_iter_replications_pool_has_at_most_one_worker_per_replication(monkeypat
     assert pooled == list(iter_replications(spec, threads=1))
 
 
+@pytest.mark.parametrize("threads", [math.nan, math.inf, 2.7])
+def test_iter_replications_refuses_non_integer_threads(threads):
+    with pytest.raises(DomainError, match="threads="):
+        next(iter_replications(gb_spec(), threads=threads))
+
+
+def test_failed_replication_is_recorded_and_counted(monkeypatch):
+    spec = gb_spec(n=4_000, replications=2, seed=7)
+    with monkeypatch.context() as patch:
+        patch.setattr("truncdep.estimation._MAX_ITER", 1)
+        failed = next(iter_replications(spec, threads=1))
+    assert failed.failed
+    assert math.isnan(failed.theta_hat) and math.isnan(failed.vartheta_hat)
+    ok = list(iter_replications(spec, threads=1))[1]
+    assert not ok.failed
+    with pytest.warns(RuntimeWarning, match="excluded 1 failed replication"):
+        s = summarize([failed, ok], spec.params0)
+    assert s.failures == 1
+    assert s.bias_theta == ok.theta_hat - spec.params0.theta
+
+
 def test_run_scenario_gb_smoke():
     s = run_scenario(gb_spec(), threads=1)
     assert s.failures == 0
@@ -297,22 +315,6 @@ def test_hessian_det_scan_matches_central_difference(theta, vartheta):
     want = np.linalg.det(jac) / n_mc**2
     got = hessian_det_scan([theta], [vartheta], DESIGN, n_mc, seed=seed)[0, 0]
     assert got == pytest.approx(want, rel=1e-6)
-
-
-def test_det_surface_scan_script_writes_the_grid(tmp_path):
-    path = Path(__file__).resolve().parents[1] / "scripts" / "det_surface_scan.py"
-    loader = importlib.util.spec_from_file_location("det_surface_scan", path)
-    script = importlib.util.module_from_spec(loader)
-    loader.loader.exec_module(script)
-    out = tmp_path / "dets.csv"
-    argv = ["--theta-grid", "0.08", "--vartheta-grid", "0.0", "0.3",
-            "--n-mc", "2000", "--out", str(out)]
-    assert script.main(argv) == 0
-    with open(out, newline="") as fh:
-        header, *rows = list(csv.reader(fh))
-    assert header == ["theta0", "vartheta0", "det"]
-    assert [row[:2] for row in rows] == [["0.08", "0.0"], ["0.08", "0.3"]]
-    assert all(math.isfinite(float(row[2])) for row in rows)
 
 
 def test_hessian_det_scan_rejects_bad_n_mc():
