@@ -24,7 +24,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -36,6 +36,7 @@ from .errors import (
     DataError,
     DomainError,
     TruncdepError,
+    _check_seed,
 )
 from .estimation import FitResult, fit
 from .inference import (
@@ -334,24 +335,7 @@ def _fit_payload(result: FitResult, sample: TruncatedSample) -> dict:
 
 
 def _test_payload(test: TestResult, trend: TrendReport | None) -> dict:
-    payload: dict[str, Any] = {
-        "test": {
-            "statistic": test.statistic,
-            "p_value": test.p_value,
-            "reject": test.reject,
-            "level": test.level,
-            "sigma_vartheta_hat": test.sigma_vartheta_hat,
-            "boundary": test.boundary,
-        },
-        "trend": None,
-    }
-    if trend is not None:
-        payload["trend"] = {
-            "life_expectancy_at_mid": trend.life_expectancy_at_mid,
-            "annual_change": trend.annual_change,
-            "annual_change_days": trend.annual_change_days,
-        }
-    return payload
+    return {"test": asdict(test), "trend": None if trend is None else asdict(trend)}
 
 
 def _summary_row(spec: ScenarioSpec, summary: McSummary) -> list:
@@ -396,6 +380,7 @@ def _cmd_test(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     params = ModelParams(_family_from_tag(args.family), args.theta, args.vartheta)
     design = StudyDesign(big_g=args.big_g, s=args.s)
+    _check_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     sample = simulate_truncated(params, design, args.n, rng)
     rows = zip(sample.x_arr.tolist(), sample.t_arr.tolist())

@@ -14,6 +14,10 @@ estimator (theta_hat0, 0), i.e. under H0.
 
 The FGM parameter is interior, so its test is a standard two-sided
 Wald z-test at the unrestricted fit.
+
+Both tests are one Wald body: z = sqrt(n_hat) * vt_hat / sigma_vt, with
+sigma_vt^2 read from ``cov_hat[1, 1]`` of the fit whose information the
+test uses, so the information is inverted once, by the fit.
 """
 
 from __future__ import annotations
@@ -21,11 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .copula import CopulaFamily, ModelParams, StudyDesign
 from .errors import DomainError, InvariantError
-from .estimation import FitResult, _inv2, fit_restricted
+from .estimation import FitResult, fit_restricted
 from .sampling import TruncatedSample
 
 __all__ = [
@@ -45,8 +47,9 @@ class TestResult:
     """Outcome of a Wald-type test on vartheta.
 
     For the one-sided boundary construction p_value lies in (0, 0.5],
-    with boundary=True forcing statistic 0 and p-value 0.5; the FGM
-    interior test is two-sided and its p-value ranges over (0, 1].
+    and boundary=True (vt_hat = 0) comes with statistic 0 and p-value
+    0.5; the FGM interior test is two-sided and its p-value ranges over
+    (0, 1].
     """
 
     statistic: float
@@ -78,14 +81,29 @@ def _phibar(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def _sigma_from_info(info: np.ndarray) -> float:
-    cov = _inv2(info)
-    if cov is None:
+def _wald(fit: FitResult, info_fit: FitResult, level: float, two_sided: bool) -> TestResult:
+    """The Wald z-test of vartheta = 0 at ``fit``'s estimate, with
+    sigma_vt^2 = ``info_fit.cov_hat[1, 1]``; that is NaN exactly when the
+    fit found ``info_hat`` not invertible.  One-sided, p = Phibar(z), which
+    is 0.5 on the boundary vt_hat = 0; two-sided, p = 2 * Phibar(|z|).
+    """
+    var = float(info_fit.cov_hat[1, 1])
+    if math.isnan(var):
         raise InvariantError("information matrix is not invertible")
-    var = float(cov[1, 1])
     if not (math.isfinite(var) and var > 0.0):
         raise InvariantError(f"nonpositive vartheta variance {var!r}")
-    return math.sqrt(var)
+    sigma = math.sqrt(var)
+    vt_hat = fit.params_hat.vartheta
+    z = math.sqrt(fit.n_hat) * vt_hat / sigma
+    p = 2.0 * _phibar(abs(z)) if two_sided else _phibar(z)
+    return TestResult(
+        statistic=z,
+        p_value=p,
+        reject=p <= level,
+        level=level,
+        sigma_vartheta_hat=sigma,
+        boundary=not two_sided and vt_hat == 0.0,
+    )
 
 
 def wald_boundary_test(
@@ -95,7 +113,7 @@ def wald_boundary_test(
 
     ``fit`` is the unrestricted fit supplying vt_hat and n_hat; the
     vartheta variance comes from the information estimated at the
-    restricted estimator: a boundary fit's own ``info_hat``, since its
+    restricted estimator: a boundary fit's own ``cov_hat``, since its
     theta_hat is the restricted estimator, or else ``fit_restricted``'s.
     Levels must lie in (0, 0.5): the null already places probability 0.5
     on the boundary outcome, so larger levels are meaningless.
@@ -104,53 +122,20 @@ def wald_boundary_test(
         raise DomainError("boundary test applies to the Gumbel-Barnett family only")
     if not 0.0 < level < 0.5:
         raise DomainError(f"level={level!r} outside (0, 0.5)")
-    if fit.at_boundary:
-        info0 = fit.info_hat
-    else:
-        info0 = fit_restricted(sample, CopulaFamily.GUMBEL_BARNETT).info_hat
-    sigma = _sigma_from_info(info0)
-    vt_hat = fit.params_hat.vartheta
-    if vt_hat == 0.0:
-        return TestResult(
-            statistic=0.0,
-            p_value=0.5,
-            reject=False,
-            level=level,
-            sigma_vartheta_hat=sigma,
-            boundary=True,
-        )
-    z = math.sqrt(fit.n_hat) * vt_hat / sigma
-    p = _phibar(z)
-    return TestResult(
-        statistic=z,
-        p_value=p,
-        reject=p <= level,
-        level=level,
-        sigma_vartheta_hat=sigma,
-        boundary=False,
-    )
+    info_fit = fit if fit.at_boundary else fit_restricted(sample, fit.params_hat.family)
+    return _wald(fit, info_fit, level, two_sided=False)
 
 
 def wald_interior_test_fgm(
     fit: FitResult, sample: TruncatedSample, level: float
 ) -> TestResult:
-    """Two-sided Wald z-test for the interior FGM parameter."""
+    """Two-sided Wald z-test for the interior FGM parameter, with the
+    variance from the fit's own ``cov_hat``."""
     if fit.params_hat.family is not CopulaFamily.FGM:
         raise DomainError("interior test applies to the FGM family only")
     if not 0.0 < level < 1.0:
         raise DomainError(f"level={level!r} outside (0, 1)")
-    sigma = _sigma_from_info(fit.info_hat)
-    vt_hat = fit.params_hat.vartheta
-    z = math.sqrt(fit.n_hat) * vt_hat / sigma
-    p = 2.0 * _phibar(abs(z))
-    return TestResult(
-        statistic=z,
-        p_value=p,
-        reject=p <= level,
-        level=level,
-        sigma_vartheta_hat=sigma,
-        boundary=False,
-    )
+    return _wald(fit, fit, level, two_sided=True)
 
 
 def life_expectancy_fgm(params: ModelParams, design: StudyDesign, t: float) -> float:
@@ -164,12 +149,7 @@ def life_expectancy_fgm(params: ModelParams, design: StudyDesign, t: float) -> f
     )
 
 
-def trend_report_fgm(
-    fit: FitResult | ModelParams,
-    design: StudyDesign,
-    *,
-    days_per_year: float = DAYS_PER_YEAR,
-) -> TrendReport:
+def trend_report_fgm(fit: FitResult | ModelParams, design: StudyDesign) -> TrendReport:
     """Life-expectancy level and cohort trend implied by an FGM fit.
 
     Accepts a FitResult or a bare ModelParams (useful for reporting at
@@ -182,5 +162,5 @@ def trend_report_fgm(
     return TrendReport(
         life_expectancy_at_mid=life_expectancy_fgm(params, design, design.big_g / 2.0),
         annual_change=change,
-        annual_change_days=change * days_per_year,
+        annual_change_days=change * DAYS_PER_YEAR,
     )

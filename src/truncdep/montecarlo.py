@@ -29,6 +29,7 @@ import numpy as np
 from .copula import CopulaFamily, ModelParams, StudyDesign
 from .errors import (
     ConvergenceError,
+    DataError,
     DomainError,
     InvariantError,
     TruncdepError,
@@ -310,6 +311,8 @@ def hessian_det_scan(
     surface bottoms out) far more stable than the pointwise noise level.
     A positive determinant together with a negative theta-diagonal is
     the curvature condition the estimator's asymptotic normality rests on.
+    A grid point where no draw is observed raises ``DataError``: its zero
+    Hessian would read as a singular Jacobian.
     """
     _check_positive_int("n_mc", n_mc)
     _check_seed(seed)
@@ -323,6 +326,11 @@ def hessian_det_scan(
             th, vt = float(th0), float(vt0)
             x, t = _latent_from_uniforms(ModelParams(family, th, vt), design, uv)
             keep = _in_region(x, t, design)
+            if not keep.any():
+                raise DataError(
+                    "no draw lands in the observable region at "
+                    f"theta0={th!r}, vartheta0={vt!r} (n_mc={n_mc})"
+                )
             x, t = x[keep], t[keep]
             _, _, hess = _profile_terms(
                 x.size,

@@ -131,6 +131,17 @@ def test_simulate_rejects_bad_theta(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_simulate_bad_seed_exits_2(capsys):
+    rc = main(
+        [
+            "simulate", "--family", "gb", "--theta", "0.05", "--vartheta", "0.3",
+            "--G", "24", "--s", "3", "--n", "100", "--seed", "-1",
+        ]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: seed=-1 ")
+
+
 # ---------------------------------------------------------------------------
 # fit
 
@@ -654,3 +665,16 @@ def test_scan_domain_error_exits_2(capsys, flag, value, message):
     assert main(flags) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
+
+
+def test_scan_with_no_draw_in_the_region_exits_2(capsys):
+    # At s = 0.01 about one latent pair in 2,800 is observed, so ten
+    # draws leave the region empty: its Hessian is zero, not singular.
+    flags = [
+        "scan", "--theta-grid", "0.08", "--vartheta-grid", "0", "--G", "24",
+        "--s", "0.01", "--n-mc", "10",
+    ]
+    assert main(flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no draw lands in the observable region")
+    assert "theta0=0.08, vartheta0=0.0 (n_mc=10)" in err

@@ -145,6 +145,19 @@ def test_fit_on_upper_vartheta_bound_converges_with_outward_score():
     assert abs(sum_psi[0]) <= 1e-7 * sample.m
 
 
+def test_boundary_fit_checks_the_kkt_sign(monkeypatch):
+    # A snap tolerance of 1 forces dependent data onto the face
+    # vartheta = 0, where the vartheta score points into the box: the
+    # face solve converges, and the sign condition alone fails the fit.
+    monkeypatch.setattr("truncdep.estimation._SNAP_TOL", 1.0)
+    params0 = ModelParams(GB, 0.08, 0.3)
+    sample = simulate_truncated(params0, DESIGN, 30_000, np.random.default_rng(5))
+    result = fit(sample, GB)
+    assert result.at_boundary is True
+    assert result.converged is False
+    assert fit_restricted(sample, GB).converged is True
+
+
 def test_fit_reports_nonconvergence_when_out_of_iterations(monkeypatch):
     monkeypatch.setattr("truncdep.estimation._MAX_ITER", 1)
     result = fit(_independent_boundary_sample(), GB)

@@ -1,6 +1,7 @@
 """Wald tests for the dependence parameter and the FGM trend report."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from truncdep import (
     wald_boundary_test,
     wald_interior_test_fgm,
 )
-from truncdep.inference import _phibar, _sigma_from_info
+from truncdep.estimation import _inv2
+from truncdep.inference import _phibar
 
 GB = CopulaFamily.GUMBEL_BARNETT
 FGM = CopulaFamily.FGM
@@ -257,24 +259,33 @@ def test_trend_report_accepts_fit_result(fgm_sample):
     assert from_fit == from_params
 
 
-def test_trend_report_custom_year_length():
-    params = ModelParams(FGM, 0.1, 0.2)
-    default = trend_report_fgm(params, DESIGN)
-    metric = trend_report_fgm(params, DESIGN, days_per_year=365.0)
-    assert metric.annual_change == default.annual_change
-    assert metric.annual_change_days == pytest.approx(
-        default.annual_change_days * 365.0 / 365.25, rel=1e-14
-    )
-
-
 def test_trend_report_rejects_gb():
     with pytest.raises(DomainError):
         trend_report_fgm(ModelParams(GB, 0.1, 0.2), DESIGN)
 
 
 @pytest.mark.parametrize(
-    "info", [[[1.0, 2.0], [2.0, 4.0]], [[np.nan, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, -1.0]]]
+    "info,message",
+    [
+        ([[1.0, 2.0], [2.0, 4.0]], "information matrix is not invertible"),
+        ([[np.nan, 0.0], [0.0, 1.0]], "information matrix is not invertible"),
+        ([[1.0, 0.0], [0.0, -1.0]], "nonpositive vartheta variance -1.0"),
+    ],
+    ids=["info0", "info1", "info2"],
 )
-def test_sigma_from_info_rejects_unusable_information(info):
-    with pytest.raises(InvariantError):
-        _sigma_from_info(np.array(info))
+def test_sigma_from_info_rejects_unusable_information(info, message, gb_sample):
+    # Both tests read sigma from cov_hat, which the fit stores as the
+    # inverse of info_hat, or all NaN where there is none.
+    _, _, sample = gb_sample
+    info = np.array(info)
+    cov = _inv2(info)
+    cov = np.full((2, 2), np.nan) if cov is None else cov
+    for family, test in ((GB, wald_boundary_test), (FGM, wald_interior_test_fgm)):
+        fitted = replace(
+            synthetic_fit(family, 0.1, 0.0, 10_000, 1.0),
+            at_boundary=family is GB,
+            info_hat=info,
+            cov_hat=cov,
+        )
+        with pytest.raises(InvariantError, match=message):
+            test(fitted, sample, 0.05)
