@@ -211,13 +211,13 @@ def _gb_inv_cond(u, p, vartheta):
     floating-point stalls.  |g| <= _INV_TOL implies the conditional-CDF
     residual |c_u(v) - p| <= (1-p)*|g|.
     """
-    u = np.asarray(u, dtype=float)
     p = np.asarray(p, dtype=float)
+    if vartheta == 0.0:
+        return -np.expm1(np.log1p(-p))  # the slope below is exactly 1
+    u = np.asarray(u, dtype=float)
     a = np.log1p(-u)
     slope = 1.0 - vartheta * a  # >= 1
     target = np.log1p(-p)  # < 0
-    if vartheta == 0.0:
-        return -np.expm1(target / slope)  # slope == 1, exact root
 
     w = -target / slope  # g(w0) = log1p(vt*w0) >= 0: start left of the root
     lo = np.array(w, copy=True)

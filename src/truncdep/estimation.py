@@ -16,14 +16,19 @@ Convergence is the solver's own projected-gradient test: every free
 coordinate of the summed score is small, and every coordinate on a
 bound of the box points out of it.  A boundary fit adds one line, the
 KKT sign condition that the vartheta score at (theta_hat, 0) points out
-of the box.
+of the box.  theta's box [EPS_THETA, 1/EPS_THETA] is a numerical guard,
+not a boundary of the model, so a theta_hat on it never counts as
+converged.
 
 ``fit_restricted`` pins vartheta = 0 and maximizes over theta alone,
 which is the estimator under independent truncation.
 
 Each point is evaluated once: the log-likelihood and the plug-in
 information are read from the solver's last evaluation.  The solver's
-tolerances are module constants; a fit takes no options.
+tolerances are module constants; a fit takes no options.  The solver
+works on Python floats, not NumPy 2-vectors: at M ~ 1e3 a fit is bound by
+per-call dispatch, and scalar IEEE arithmetic in the same order gives
+the same bits.
 """
 
 from __future__ import annotations
@@ -51,7 +56,7 @@ __all__ = ["FitResult", "fit", "fit_restricted", "fisher_info_hat"]
 # exponential MLE M / sum(x).
 _VARTHETA_START = {CopulaFamily.GUMBEL_BARNETT: 0.01, CopulaFamily.FGM: 0.0}
 # The face vartheta = 0 as a box; a coordinate whose box is one point is held.
-_FACE_BOX = (np.array([EPS_THETA, 0.0]), np.array([1.0 / EPS_THETA, 0.0]))
+_FACE_BOX = ((EPS_THETA, 0.0), (1.0 / EPS_THETA, 0.0))
 _ARMIJO = 1e-4
 # Relative size below which a rise in -l_p is rounding, not ascent.
 _RESOLUTION = 1e-12
@@ -83,7 +88,8 @@ class FitResult:
     for a boundary fit, the face solve.  ``log_lik`` and ``info_hat``
     are read from the solver's last evaluation, at params_hat; ``cov_hat``
     is inv(info_hat), all NaN where none exists.  ``converged`` is the last
-    solve's verdict and, for a boundary fit, the KKT sign condition.
+    solve's verdict, false for a theta_hat on its box bound, and, for a
+    boundary fit, the KKT sign condition.
     """
 
     params_hat: ModelParams
@@ -103,16 +109,17 @@ def _objective_factory(
     m = len(x)
     big_g, s = design.big_g, design.s
 
-    def neg_lp(z: np.ndarray):
-        """(-l_p, its gradient, its exact Hessian, terms), with terms the
-        order-2 (``_obs_terms``, ``_alpha_and_grad``) results behind them."""
+    def neg_lp(z):
+        """(-l_p, its gradient, its exact Hessian, terms) at the pair z, the
+        gradient and Hessian as ndarrays, with terms the order-2
+        (``_obs_terms``, ``_alpha_and_grad``) results behind them."""
         theta, vartheta = float(z[0]), float(z[1])
         terms = (
             _obs_terms(family, theta, vartheta, big_g, x, t, 2),
             _alpha_and_grad(family, theta, vartheta, big_g, s, 2),
         )
-        value, grad, hess = _profile_terms(m, *terms)
-        return -value, -grad, -hess, terms
+        value, (g_t, g_v), (h_tt, h_tv, h_vv) = _profile_terms(m, *terms)
+        return -value, -np.array([g_t, g_v]), -np.array([[h_tt, h_tv], [h_tv, h_vv]]), terms
 
     return neg_lp
 
@@ -125,16 +132,30 @@ def _inv2(mat: np.ndarray) -> np.ndarray | None:
     return inv if np.all(np.isfinite(inv)) else None
 
 
-def _held(grad, z, lo, hi) -> np.ndarray:
-    """Coordinates no feasible step can move downhill: on a bound with the
-    gradient of -l_p pushing outward, or with a box that is one point."""
-    return ((z <= lo) & (grad > 0.0)) | ((z >= hi) & (grad < 0.0)) | (lo == hi)
+def _clip(v: float, lo: float, hi: float) -> float:
+    """``np.clip`` on one float: NaN passes through, a tie returns the bound."""
+    return v if v != v else min(hi, max(lo, v))
+
+
+def _held(grad, z, lo, hi) -> list[bool]:
+    """Per coordinate: no feasible step can move it downhill, because it is
+    on a bound with the gradient of -l_p pushing outward, or its box is one
+    point."""
+    return [
+        (zi <= l and g > 0.0) or (zi >= h and g < 0.0) or l == h
+        for g, zi, l, h in zip(grad, z, lo, hi)
+    ]
 
 
 def _projected_size(grad, z, lo, hi) -> float:
-    """Max-norm of the projected gradient of -l_p (zero on held coordinates)."""
-    free = ~_held(grad, z, lo, hi)
-    return float(np.max(np.abs(grad[free]), initial=0.0))
+    """Max-norm of the projected gradient of -l_p (zero on held coordinates).
+    A NaN on a free coordinate wins, as in ``np.max``, so it never reads as
+    converged."""
+    size = 0.0
+    for g, held in zip(grad, _held(grad, z, lo, hi)):
+        if not held and (abs(g) > size or g != g):
+            size = abs(g)
+    return size
 
 
 def minimize(neg_lp, z0, lo, hi, m: int):
@@ -147,34 +168,54 @@ def minimize(neg_lp, z0, lo, hi, m: int):
     on the Armijo rule, or, where objective differences fall below float
     resolution near the optimum and a line search would stall, when it
     shrinks the projected gradient.  Stops when the projected gradient
-    is at most _GTOL_SCALE * M.  Returns (z, grad, terms, iterations,
-    converged): grad is the gradient of -l_p at z, and terms the
-    (``_obs_terms``, ``_alpha_and_grad``) results of the order-2
-    evaluation there.
+    is at most _GTOL_SCALE * M.
+
+    ``neg_lp(z)`` takes the pair z and returns (-l_p, gradient, Hessian,
+    terms) with ndarray gradient and Hessian; lo and hi are pairs of
+    floats.  The solver does its 2x2 algebra in Python floats, converting
+    each evaluation once: at M ~ 1e3 an iteration of NumPy 2-vectors costs
+    as much as an evaluation, and IEEE float64 arithmetic in the same order
+    gives the same bits.  Returns (z, grad, terms, iterations, converged):
+    z and grad, the gradient of -l_p at z, are pairs of floats, and terms
+    the (``_obs_terms``, ``_alpha_and_grad``) results of the order-2
+    evaluation at z.
     """
+
+    def evaluate(z):
+        f, grad, hess, terms = neg_lp(z)
+        return f, grad.tolist(), hess.tolist(), terms
+
     tol = _GTOL_SCALE * max(m, 1)
-    z = np.clip(np.asarray(z0, dtype=float), lo, hi)
-    f, grad, hess, terms = neg_lp(z)
+    z = tuple(_clip(float(v), l, h) for v, l, h in zip(z0, lo, hi))
+    f, grad, hess, terms = evaluate(z)
     size = _projected_size(grad, z, lo, hi)
     for nit in range(_MAX_ITER):
         if size <= tol:
             return z, grad, terms, nit, True
-        free = ~_held(grad, z, lo, hi)
-        pg = np.where(free, grad, 0.0)
-        block = np.where(np.outer(free, free), hess, np.eye(2))
-        det = block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
-        inv = _inv2(block) if block[0, 0] > 0.0 and det > 0.0 else None
-        if inv is not None:
-            step = -np.sum(inv * pg, axis=1)
+        (g0, g1), ((h00, h01), (h10, h11)) = grad, hess
+        free0, free1 = (not held for held in _held(grad, z, lo, hi))
+        pg0, pg1 = (g0 if free0 else 0.0), (g1 if free1 else 0.0)
+        # The free block of the Hessian, the identity on held coordinates.
+        b00, b11 = (h00 if free0 else 1.0), (h11 if free1 else 1.0)
+        b01, b10 = (h01, h10) if free0 and free1 else (0.0, 0.0)
+        det = b00 * b11 - b01 * b10
+        inv = ()
+        if b00 > 0.0 and det > 0.0:
+            inv = (b11 / det, -b01 / det, -b10 / det, b00 / det)
+        if inv and all(map(math.isfinite, inv)):
+            step = (-(inv[0] * pg0 + inv[1] * pg1), -(inv[2] * pg0 + inv[3] * pg1))
         else:
-            scale = np.abs(np.diag(block))
-            step = -pg / np.where((scale > 0.0) & np.isfinite(scale), scale, 1.0)
+            step = tuple(
+                -p / (abs(b) if abs(b) > 0.0 and math.isfinite(b) else 1.0)
+                for p, b in ((pg0, b00), (pg1, b11))
+            )
         t = 1.0
         for _ in range(_MAX_HALVINGS):
-            trial = np.clip(z + t * step, lo, hi)
-            f_new, grad_new, hess_new, terms_new = neg_lp(trial)
+            trial = tuple(_clip(zi + t * si, l, h) for zi, si, l, h in zip(z, step, lo, hi))
+            f_new, grad_new, hess_new, terms_new = evaluate(trial)
             size_new = _projected_size(grad_new, trial, lo, hi)
-            if f_new <= f + _ARMIJO * float(np.sum(grad * (trial - z))) or (
+            slope = g0 * (trial[0] - z[0]) + g1 * (trial[1] - z[1])
+            if f_new <= f + _ARMIJO * slope or (
                 f_new - f <= _RESOLUTION * abs(f) and size_new < size
             ):
                 break
@@ -188,7 +229,7 @@ def minimize(neg_lp, z0, lo, hi, m: int):
 def _finalize(
     family: CopulaFamily,
     sample: TruncatedSample,
-    z: np.ndarray,
+    z,
     terms,
     nit: int,
     converged: bool,
@@ -199,6 +240,9 @@ def _finalize(
     bit for bit; it stays because bench/tracer.py hooks that name."""
     obs, a_terms = terms
     params_hat = ModelParams(family, float(z[0]), float(z[1]))
+    # theta's box is a numerical guard, not a boundary of the model: a
+    # theta_hat on either of its bounds is no maximizer.
+    converged = converged and EPS_THETA < params_hat.theta < 1.0 / EPS_THETA
     n_hat = profile_n(sample.m, alpha(params_hat, sample.design))
     info = _info_hat(obs, a_terms, n_hat)
     cov = _inv2(info)
@@ -230,7 +274,7 @@ def _solve_face(neg_lp, naive: float, m: int):
     restricted theta_hat, and the boundary KKT sign check runs at the
     theta-stationary point on the face.
     """
-    return minimize(neg_lp, np.array([naive, 0.0]), *_FACE_BOX, m)
+    return minimize(neg_lp, (naive, 0.0), *_FACE_BOX, m)
 
 
 def fit(sample: TruncatedSample, family: CopulaFamily) -> FitResult:
@@ -241,11 +285,11 @@ def fit(sample: TruncatedSample, family: CopulaFamily) -> FitResult:
     if float(np.ptp(x)) == 0.0 and float(np.ptp(t)) == 0.0:
         raise DataError("all observations identical; likelihood is degenerate")
     vt_lo, vt_hi = vartheta_range(family)
-    box = (np.array([EPS_THETA, vt_lo]), np.array([1.0 / EPS_THETA, vt_hi]))
+    box = ((EPS_THETA, vt_lo), (1.0 / EPS_THETA, vt_hi))
     naive = sample.m / float(np.sum(x))
     neg_lp = _objective_factory(family, sample.design, x, t)
     z, _, terms, nit, converged = minimize(
-        neg_lp, np.array([naive, _VARTHETA_START[family]]), *box, sample.m
+        neg_lp, (naive, _VARTHETA_START[family]), *box, sample.m
     )
     # Snap to the boundary: the face solve returns vartheta = 0 exactly.
     at_boundary = bool(family is CopulaFamily.GUMBEL_BARNETT and z[1] < _SNAP_TOL)

@@ -63,19 +63,26 @@ def _obs_terms(
 
 
 def _profile_terms(m: int, obs, a_terms):
-    """(l_p, sum psi, Hessian of l_p) from the order-2 ``_obs_terms`` and
-    ``_alpha_and_grad`` results of one point, m observations.
+    """(l_p, sum psi, Hessian of l_p) as floats, from the order-2
+    ``_obs_terms`` and ``_alpha_and_grad`` results of one point, m
+    observations: sum psi is the (theta, vartheta) pair and the Hessian
+    the (theta-theta, theta-vartheta, vartheta-vartheta) triple.
 
     sum psi = sum grad log f - m grad alpha / alpha; the Hessian is
     sum H log f - m (H alpha / alpha - grad alpha grad alpha' / alpha^2).
+    Each sum is one ``np.add.reduce``, the reduction ``np.sum`` wraps.
     """
     logf, (g1, g2), h = obs
     a, d_t, d_v, *d2 = a_terms
-    value = float(np.sum(logf)) - m * math.log(a)
-    grad = np.array([float(np.sum(g1)) - m * d_t / a, float(np.sum(g2)) - m * d_v / a])
-    h_tt, h_tv, h_vv = (float(np.sum(hk)) - m * d2k / a for hk, d2k in zip(h, d2))
-    r = np.array([d_t, d_v]) / a
-    return value, grad, np.array([[h_tt, h_tv], [h_tv, h_vv]]) + m * np.outer(r, r)
+    value = float(np.add.reduce(logf)) - m * math.log(a)
+    grad = (
+        float(np.add.reduce(g1)) - m * d_t / a,
+        float(np.add.reduce(g2)) - m * d_v / a,
+    )
+    h_tt, h_tv, h_vv = (float(np.add.reduce(hk)) - m * d2k / a for hk, d2k in zip(h, d2))
+    r_t, r_v = d_t / a, d_v / a
+    hess = (h_tt + m * (r_t * r_t), h_tv + m * (r_t * r_v), h_vv + m * (r_v * r_v))
+    return value, grad, hess
 
 
 def _psi(obs, a_terms):

@@ -332,10 +332,10 @@ def hessian_det_scan(
                     f"theta0={th!r}, vartheta0={vt!r} (n_mc={n_mc})"
                 )
             x, t = x[keep], t[keep]
-            _, _, hess = _profile_terms(
+            _, _, (h_tt, h_tv, h_vv) = _profile_terms(
                 x.size,
                 _obs_terms(family, th, vt, design.big_g, x, t, 2),
                 _alpha_and_grad(family, th, vt, design.big_g, design.s, 2),
             )
-            out[i, j] = (hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[1, 0]) / float(n_mc) ** 2
+            out[i, j] = (h_tt * h_vv - h_tv * h_tv) / float(n_mc) ** 2
     return out

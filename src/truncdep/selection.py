@@ -53,8 +53,10 @@ def _gb_fixed(theta, vartheta, big_g, s, order: int) -> tuple[float, ...]:
         L, t, w = _quad.domain_grid_for_rate(big_g, theta)
     pieces = _gb_survival_pieces(theta, vartheta, np.stack((t, t + s)), L, order)
     f, grad, hess = _density(pieces, 1.0, order)
-    fields = (f, *(grad or ()), *(hess or ()))
-    return tuple(float(np.sum(w * (v[0] - v[1]))) for v in fields)
+    # One reduction over the stacked (k, 2, nodes) fields: per row it is the
+    # same pairwise sum, bit for bit, as one np.sum per field.
+    fields = np.stack((f, *(grad or ()), *(hess or ())))
+    return tuple(np.add.reduce(w * (fields[:, 0] - fields[:, 1]), axis=-1).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ closed-form copula derivatives, bisection inversion, one-dimensional
 adaptive quadrature of conditional probabilities, brute-force integer
 search, and the x,t CSV parsed row by row with the csv module.  Nothing imports from the package's numeric internals, so
 agreement between a production routine and its oracle is evidence, not
-circularity.
+circularity.  The one exception is ``numpy_projected_newton``, a frozen
+NumPy-array copy of the projected Newton solver: it reads the solver's
+tolerance constants, since it is a bit-for-bit reference for the scalar
+rewrite, not an independent derivation.
 """
 
 from __future__ import annotations
@@ -206,6 +209,67 @@ def lbfgsb_multistart_oracle(neg_lp, naive, vartheta_starts, bounds, gtol):
             if best is None or res.fun < best.fun:
                 best = res
     return best.x, -float(best.fun)
+
+
+def _np_inv2(mat):
+    (a, b), (c, d) = np.asarray(mat, dtype=float)
+    det = a * d - b * c
+    inv = np.array([[d, -b], [-c, a]]) / det if det != 0.0 else np.full((2, 2), np.nan)
+    return inv if np.all(np.isfinite(inv)) else None
+
+
+def _np_held(grad, z, lo, hi):
+    return ((z <= lo) & (grad > 0.0)) | ((z >= hi) & (grad < 0.0)) | (lo == hi)
+
+
+def _np_projected_size(grad, z, lo, hi):
+    free = ~_np_held(grad, z, lo, hi)
+    return float(np.max(np.abs(grad[free]), initial=0.0))
+
+
+def numpy_projected_newton(neg_lp, z0, lo, hi, m):
+    """The projected Newton solver on NumPy 2-vectors, as
+    ``truncdep.estimation.minimize`` was written before its scalar rewrite.
+
+    Same contract: ``neg_lp(z)`` returns (-l_p, ndarray gradient, ndarray
+    Hessian, terms); returns (z, grad, terms, iterations, converged) with z
+    and grad as ndarrays.  The tolerances are the solver's module
+    constants, read at call time.
+    """
+    from truncdep import estimation as est
+
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    tol = est._GTOL_SCALE * max(m, 1)
+    z = np.clip(np.asarray(z0, dtype=float), lo, hi)
+    f, grad, hess, terms = neg_lp(z)
+    size = _np_projected_size(grad, z, lo, hi)
+    for nit in range(est._MAX_ITER):
+        if size <= tol:
+            return z, grad, terms, nit, True
+        free = ~_np_held(grad, z, lo, hi)
+        pg = np.where(free, grad, 0.0)
+        block = np.where(np.outer(free, free), hess, np.eye(2))
+        det = block[0, 0] * block[1, 1] - block[0, 1] * block[1, 0]
+        inv = _np_inv2(block) if block[0, 0] > 0.0 and det > 0.0 else None
+        if inv is not None:
+            step = -np.sum(inv * pg, axis=1)
+        else:
+            scale = np.abs(np.diag(block))
+            step = -pg / np.where((scale > 0.0) & np.isfinite(scale), scale, 1.0)
+        t = 1.0
+        for _ in range(est._MAX_HALVINGS):
+            trial = np.clip(z + t * step, lo, hi)
+            f_new, grad_new, hess_new, terms_new = neg_lp(trial)
+            size_new = _np_projected_size(grad_new, trial, lo, hi)
+            if f_new <= f + est._ARMIJO * float(np.sum(grad * (trial - z))) or (
+                f_new - f <= est._RESOLUTION * abs(f) and size_new < size
+            ):
+                break
+            t *= 0.5
+        else:
+            return z, grad, terms, nit, False
+        z, f, grad, hess, terms, size = trial, f_new, grad_new, hess_new, terms_new, size_new
+    return z, grad, terms, est._MAX_ITER, size <= tol
 
 
 # ---------------------------------------------------------------------------

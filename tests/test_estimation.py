@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import lbfgsb_multistart_oracle
+from oracles import lbfgsb_multistart_oracle, numpy_projected_newton
 
 import truncdep
 from truncdep import (
@@ -25,7 +25,7 @@ from truncdep import (
     vartheta_range,
 )
 from truncdep.copula import EPS_THETA
-from truncdep.estimation import _inv2, _objective_factory
+from truncdep.estimation import _FACE_BOX, _inv2, _objective_factory, minimize
 from truncdep.likelihood import _obs_terms
 from truncdep.selection import _alpha_and_grad
 
@@ -129,12 +129,16 @@ def test_boundary_fit_theta_is_restricted_theta():
         assert result.log_lik >= restricted.log_lik
 
 
+def _upper_bound_fgm_sample():
+    params0 = ModelParams(FGM, 0.08, 0.5)
+    return simulate_truncated(params0, DESIGN, 500, np.random.default_rng(1001))
+
+
 def test_fit_on_upper_vartheta_bound_converges_with_outward_score():
     # M = 47: the profile likelihood keeps rising in vartheta up to the
     # edge of the FGM box, so the maximum sits on the upper bound and
     # KKT needs the vartheta-score to point out of the box there.
-    params0 = ModelParams(FGM, 0.08, 0.5)
-    sample = simulate_truncated(params0, DESIGN, 500, np.random.default_rng(1001))
+    sample = _upper_bound_fgm_sample()
     assert sample.m == 47
     result = fit(sample, FGM)
     assert result.converged
@@ -156,6 +160,112 @@ def test_boundary_fit_checks_the_kkt_sign(monkeypatch):
     assert result.at_boundary is True
     assert result.converged is False
     assert fit_restricted(sample, GB).converged is True
+
+
+def test_fit_on_the_theta_box_bound_is_not_converged():
+    # Small theta*G: the two-parameter solve runs into theta = EPS_THETA,
+    # a numerical guard, where the outward theta score held it as a KKT
+    # point.  The face solve stops there too.
+    params0 = ModelParams(GB, 0.02, 0.5)
+    sample = simulate_truncated(params0, DESIGN, 40_000, np.random.default_rng(1001))
+    assert sample.m == 1675
+    result = fit(sample, GB)
+    assert result.params_hat.theta == EPS_THETA
+    assert result.converged is False
+    restricted = fit_restricted(sample, GB)
+    assert restricted.params_hat.theta == EPS_THETA
+    assert restricted.converged is False
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def _assert_same_solve(got, ref):
+    z, grad, _, nit, converged = got
+    z_ref, grad_ref, _, nit_ref, converged_ref = ref
+    assert _bits(z) == _bits(z_ref)
+    assert _bits(grad) == _bits(grad_ref)
+    assert (nit, converged) == (nit_ref, converged_ref)
+
+
+@pytest.mark.parametrize(
+    "case", ["gb_interior", "gb_boundary", "gb_face", "fgm", "fgm_upper_bound"]
+)
+def test_minimize_matches_the_numpy_reference_bit_for_bit(case, request):
+    if case in ("gb_boundary", "gb_face"):
+        family, sample = GB, _independent_boundary_sample()
+    elif case == "fgm_upper_bound":
+        family, sample = FGM, _upper_bound_fgm_sample()
+    else:
+        family = GB if case == "gb_interior" else FGM
+        sample = request.getfixturevalue("gb_sample" if family is GB else "fgm_sample")[2]
+    neg_lp = _objective_factory(family, DESIGN, sample.x_arr, sample.t_arr)
+    naive = sample.m / float(np.sum(sample.x_arr))
+    if case == "gb_face":
+        z0, (lo, hi) = (naive, 0.0), _FACE_BOX
+    else:
+        vt_lo, vt_hi = vartheta_range(family)
+        z0 = (naive, 0.01 if family is GB else 0.0)
+        lo, hi = (EPS_THETA, vt_lo), (1.0 / EPS_THETA, vt_hi)
+    got = minimize(neg_lp, z0, lo, hi, sample.m)
+    _assert_same_solve(got, numpy_projected_newton(neg_lp, z0, lo, hi, sample.m))
+
+
+def _quadratic(nan_at):
+    """-l_p = (z - c)' A (z - c) / 2 with NaN injected where ``nan_at(z)``
+    names: "f", "grad0", "grad1" or "hess", or an infinite theta-theta
+    curvature for "h00_inf"."""
+    a = np.array([[2.0, 0.5], [0.5, 1.0]])
+    c = np.array([0.3, 0.6])
+
+    def neg_lp(z):
+        d = np.asarray(z, dtype=float) - c
+        f, grad, hess = float(0.5 * d @ a @ d), a @ d, a.copy()
+        where = nan_at(np.asarray(z, dtype=float))
+        if where == "f":
+            f = math.nan
+        elif where in ("grad0", "grad1"):
+            grad[int(where[-1])] = math.nan
+        elif where == "hess":
+            hess[:] = math.nan
+        elif where == "h00_inf":
+            hess[0, 0] = math.inf
+        return f, grad, hess, None
+
+    return neg_lp
+
+
+@pytest.mark.parametrize(
+    "nan_at",
+    [
+        # NaN score at the start, on a free coordinate and on one at its bound.
+        lambda z: "grad0" if z[0] == 1.0 else None,
+        lambda z: "grad1" if z[1] == 0.0 else None,
+        # NaN objective past a line the minimizer sits beyond.
+        lambda z: "f" if z[0] < 0.5 else None,
+        # NaN curvature everywhere, or an infinite theta-theta entry that
+        # leaves a positive determinant but no finite inverse: the scaled
+        # gradient step, with unit scale where the curvature is not finite.
+        lambda z: "hess",
+        lambda z: "h00_inf",
+        # NaN theta score everywhere: at (0.9, 0.3) the vartheta score is
+        # below tolerance, and the NaN must still win the max-norm.
+        lambda z: "grad0",
+        # NaN score at every point right of a line: the size never shrinks.
+        lambda z: "grad1" if z[0] > 0.35 else None,
+    ],
+)
+def test_minimize_handles_nan_as_the_numpy_reference_does(nan_at):
+    neg_lp = _quadratic(nan_at)
+    lo, hi = (0.0, 0.0), (1.0, 1.0)
+    # A NaN start stays NaN: np.clip passes it through rather than landing
+    # it on a bound, where the objective is finite.
+    for z0 in ((1.0, 0.0), (1.0, 0.2), (0.9, 0.9), (0.9, 0.3), (math.nan, 0.5)):
+        got = minimize(neg_lp, z0, lo, hi, 1)
+        with np.errstate(invalid="ignore"):
+            ref = numpy_projected_newton(neg_lp, z0, lo, hi, 1)
+        _assert_same_solve(got, ref)
 
 
 def test_fit_reports_nonconvergence_when_out_of_iterations(monkeypatch):

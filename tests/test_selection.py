@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import dblquad
 
-from truncdep import CopulaFamily, ModelParams, StudyDesign, joint_density
-from truncdep.selection import _alpha_and_grad, alpha
+from truncdep import CopulaFamily, ModelParams, StudyDesign, _quad, joint_density
+from truncdep.copula import _density, _gb_survival_pieces
+from truncdep.selection import _FIXED_LIMIT, _alpha_and_grad, alpha
 
 from oracles import alpha_oracle, fd_gradient
 
@@ -196,3 +197,27 @@ def test_bundle_second_partials_match_fd_of_gradient(family, theta, vt, big_g, s
     assert d2_tv == pytest.approx(col_t[1], rel=1e-6)
     assert d2_tv == pytest.approx(col_v[0], rel=1e-6)
     assert d2_vv == pytest.approx(col_v[1], rel=1e-6, abs=1e-12)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize(
+    "theta,vt",
+    # theta*G = 1.92 and 1.2 run on the cached 160-node rule; 72 on the
+    # rate-adapted one.
+    [(0.08, 0.3), (0.05, 0.0), (3.0, 0.4)],
+)
+def test_gb_fields_reduce_as_one_sum_per_field(order, theta, vt):
+    # The stacked reduction gives each field the bits of its own np.sum.
+    big_g, s = 24.0, 3.0
+    if theta * big_g <= _FIXED_LIMIT:
+        L, t, w = _quad.domain_grid(big_g)
+    else:
+        L, t, w = _quad.domain_grid_for_rate(big_g, theta)
+    pieces = _gb_survival_pieces(theta, vt, np.stack((t, t + s)), L, order)
+    f, grad, hess = _density(pieces, 1.0, order)
+    fields = (f, *(grad or ()), *(hess or ()))
+    expected = tuple(float(np.sum(w * (v[0] - v[1]))) for v in fields)
+    got = _alpha_and_grad(GB, theta, vt, big_g, s, order)
+    assert len(got) == (1, 3, 6)[order]
+    assert all(type(v) is float for v in got)
+    assert np.array(got).tobytes() == np.array(expected).tobytes()
