@@ -26,7 +26,7 @@ import math
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,6 +62,7 @@ _TAG_BY_FAMILY = {v: k for k, v in _FAMILY_BY_TAG.items()}
 
 _CSV_HEADER = ["x", "t"]
 _PLAIN_BYTES = b"0123456789.eE+-,\n"
+_CSV_CHUNK = 1 << 14  # rows per string that simulate formats and writes
 
 _SPEC_COLUMNS = [
     "family", "theta0", "vartheta0", "G", "s", "n", "replications", "seed", "level",
@@ -93,15 +94,31 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def _write_text(text: str, out: str | None) -> None:
+def _write_text(chunks: Iterable[str], out: str | None) -> None:
+    """Write the chunks in order to ``out``, or to stdout when it is None."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+        sys.stdout.writelines(chunks)
+        return
+    try:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.writelines(chunks)
+    except OSError as exc:
+        raise DataError(f"cannot write {out}: {exc}") from exc
 
 
 def _dump_json(obj: dict, out: str | None) -> None:
-    _write_text(json.dumps(_jsonable(obj), indent=2, allow_nan=False) + "\n", out)
+    _write_text([json.dumps(_jsonable(obj), indent=2, allow_nan=False) + "\n"], out)
+
+
+def _sample_csv_chunks(sample: TruncatedSample) -> Iterator[str]:
+    """The x,t CSV of a sample: the header, then ``_CSV_CHUNK`` rows per chunk."""
+    yield "x,t\n"
+    for lo in range(0, sample.m, _CSV_CHUNK):
+        rows = zip(
+            sample.x_arr[lo:lo + _CSV_CHUNK].tolist(),
+            sample.t_arr[lo:lo + _CSV_CHUNK].tolist(),
+        )
+        yield "".join(f"{x!r},{t!r}\n" for x, t in rows)
 
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
@@ -383,8 +400,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     _check_seed(args.seed)
     rng = np.random.default_rng(args.seed)
     sample = simulate_truncated(params, design, args.n, rng)
-    rows = zip(sample.x_arr.tolist(), sample.t_arr.tolist())
-    _write_text("x,t\n" + "".join(f"{x!r},{t!r}\n" for x, t in rows), args.out)
+    _write_text(_sample_csv_chunks(sample), args.out)
     print(f"M={sample.m} M/n={sample.m / args.n!r}", file=sys.stderr)
     return 0
 
@@ -420,15 +436,15 @@ def _cmd_mc(args: argparse.Namespace) -> int:
         return 0
     table = _csv_text(_MC_COLUMNS, rows)
     if curve is None:
-        _write_text(table, args.out)
+        _write_text([table], args.out)
         return 0
     power = _csv_text(_POWER_COLUMNS, curve)
     if args.out is None:
-        _write_text(table + "\n" + power, None)
+        _write_text([table + "\n" + power], None)
         return 0
-    _write_text(table, args.out)
+    _write_text([table], args.out)
     curve_path = Path(args.out).with_suffix(".power.csv")
-    _write_text(power, str(curve_path))
+    _write_text([power], str(curve_path))
     print(f"power curve written to {curve_path}", file=sys.stderr)
     return 0
 
@@ -441,7 +457,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     )
     grid = [(th0, vt0) for th0 in args.theta_grid for vt0 in args.vartheta_grid]
     rows = [(*point, det) for point, det in zip(grid, dets.ravel())]
-    _write_text(_csv_text(["theta0", "vartheta0", "det"], rows), args.out)
+    _write_text([_csv_text(["theta0", "vartheta0", "det"], rows)], args.out)
     th0, vt0, det = rows[int(np.argmin(dets))]
     print(
         f"minimum det {det:.6f} at theta0={th0} vartheta0={vt0} (n_mc={args.n_mc}; "

@@ -14,6 +14,13 @@ uniform) are redrawn rather than clamped: U = 0 would put X on the
 support boundary and V' = 0 is outside the inverse-CDF domain.  NumPy's
 ``random()`` never returns 1.0, so the infinite-lifetime case U = 1
 cannot occur; a redraw guard covers it anyway for foreign generators.
+
+The uniforms are drawn whole, as one (n, 2) array, and then transformed
+``_BLOCK`` rows at a time, each block's (x, t) written over its own
+(u, p).  Inversion is elementwise, so every variate is the one a
+whole-array transform gives; the latent x and t are the two strided
+columns of that one buffer, and the draw holds 16 bytes per latent unit
+plus one block's temporaries.
 """
 
 from __future__ import annotations
@@ -84,13 +91,20 @@ class TruncatedSample:
         return cls(x, t, design, n_latent)
 
 
+# Rows of the latent draw transformed at a time: the conditional
+# inversion's temporaries are one block long, not n long.
+_BLOCK = 1 << 16
+
+
 def _draw_uniform_pairs(rng: np.random.Generator, n: int) -> np.ndarray:
     """(n, 2) uniforms; entries equal to 0 or 1 are redrawn in place."""
     u = rng.random((n, 2))
-    bad = (u == 0.0) | (u == 1.0)
+    bad = u == 0.0
+    bad |= u == 1.0
     while bad.any():
         u[bad] = rng.random(int(bad.sum()))
-        bad = (u == 0.0) | (u == 1.0)
+        bad = u == 0.0
+        bad |= u == 1.0
     return u
 
 
@@ -110,7 +124,17 @@ def _latent_from_uniforms(
 def _draw_latent_arrays(
     params: ModelParams, design: StudyDesign, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
-    return _latent_from_uniforms(params, design, _draw_uniform_pairs(rng, n))
+    """Latent (x, t) of n units: the strided columns of one (n, 2) buffer.
+
+    The buffer holds the whole uniform draw; each block of ``_BLOCK`` rows
+    is transformed and its (x, t) written over its own (u, p), so the draw
+    holds 16 bytes per latent unit plus one block's temporaries.
+    """
+    buf = _draw_uniform_pairs(rng, n)
+    for lo in range(0, n, _BLOCK):
+        block = buf[lo:lo + _BLOCK]
+        block[:, 0], block[:, 1] = _latent_from_uniforms(params, design, block)
+    return buf[:, 0], buf[:, 1]
 
 
 def _in_region(x: np.ndarray, t: np.ndarray, design: StudyDesign) -> np.ndarray:

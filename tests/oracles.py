@@ -5,10 +5,11 @@ closed-form copula derivatives, bisection inversion, one-dimensional
 adaptive quadrature of conditional probabilities, brute-force integer
 search, and the x,t CSV parsed row by row with the csv module.  Nothing imports from the package's numeric internals, so
 agreement between a production routine and its oracle is evidence, not
-circularity.  The one exception is ``numpy_projected_newton``, a frozen
-NumPy-array copy of the projected Newton solver: it reads the solver's
-tolerance constants, since it is a bit-for-bit reference for the scalar
-rewrite, not an independent derivation.
+circularity.  The two exceptions are bit-for-bit references for a
+rewrite, not independent derivations: ``numpy_projected_newton``, a
+frozen NumPy-array copy of the projected Newton solver, reads the
+solver's tolerance constants; ``whole_array_latent``, the latent draw
+transformed as one array, calls the package's elementwise transform.
 """
 
 from __future__ import annotations
@@ -270,6 +271,27 @@ def numpy_projected_newton(neg_lp, z0, lo, hi, m):
             return z, grad, terms, nit, False
         z, f, grad, hess, terms, size = trial, f_new, grad_new, hess_new, terms_new, size_new
     return z, grad, terms, est._MAX_ITER, size <= tol
+
+
+# ---------------------------------------------------------------------------
+# latent draw: the whole-array transform
+
+
+def whole_array_latent(params, design, n, rng):
+    """Latent (x, t) of n units, transformed as one array.
+
+    The reference for ``truncdep.sampling._draw_latent_arrays``, which
+    transforms the same uniforms in blocks: the (n, 2) draw with its zero
+    redraws, then ``_latent_from_uniforms`` on all n rows at once.
+    """
+    from truncdep.sampling import _latent_from_uniforms
+
+    uv = rng.random((n, 2))
+    bad = (uv == 0.0) | (uv == 1.0)
+    while bad.any():
+        uv[bad] = rng.random(int(bad.sum()))
+        bad = (uv == 0.0) | (uv == 1.0)
+    return _latent_from_uniforms(params, design, uv)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from truncdep import (
     hessian_det_scan,
     simulate_truncated,
 )
-from truncdep.cli import _MC_COLUMNS, _plain_rows, _read_sample, main
+from truncdep.cli import _CSV_CHUNK, _MC_COLUMNS, _plain_rows, _read_sample, main
 
 from oracles import read_xt_oracle
 
@@ -105,6 +105,28 @@ def test_simulate_csv_reads_back_bit_for_bit(tmp_path):
     assert read.m == drawn.m > 100
     np.testing.assert_array_equal(read.x_arr, drawn.x_arr)
     np.testing.assert_array_equal(read.t_arr, drawn.t_arr)
+
+
+@pytest.mark.parametrize("n", [10_000, 1_000_000])
+def test_simulate_writes_the_bytes_of_one_string(tmp_path, capsys, n):
+    # M = 993 fits in one chunk; M = 97,575 spans six, the last one partial
+    flags = [
+        "simulate", "--family", "fgm", "--theta", "0.0817", "--vartheta", "0.1",
+        "--G", "24", "--s", "3", "--n", str(n), "--seed", "5",
+    ]
+    sample = simulate_truncated(
+        ModelParams(CopulaFamily.FGM, 0.0817, 0.1), StudyDesign(24.0, 3.0), n,
+        np.random.default_rng(5),
+    )
+    assert (sample.m < _CSV_CHUNK) == (n == 10_000)
+    rows = zip(sample.x_arr.tolist(), sample.t_arr.tolist())
+    want = "x,t\n" + "".join(f"{x!r},{t!r}\n" for x, t in rows)
+    out = tmp_path / "sample.csv"
+    assert main(flags + ["--out", str(out)]) == 0
+    assert out.read_bytes() == want.encode()
+    capsys.readouterr()
+    assert main(flags) == 0
+    assert capsys.readouterr().out == want
 
 
 def test_simulate_empty_sample_is_header_only(tmp_path, capsys):
@@ -678,3 +700,28 @@ def test_scan_with_no_draw_in_the_region_exits_2(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: no draw lands in the observable region")
     assert "theta0=0.08, vartheta0=0.0 (n_mc=10)" in err
+
+
+# ---------------------------------------------------------------------------
+# an --out that cannot be opened
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "test", "mc", "scan"])
+def test_unwritable_out_exits_2(tmp_path, capsys, command):
+    sample_flags = ["--family", "gb", "--G", "24", "--s", "3"]
+    argv = {
+        "simulate": [
+            "simulate", "--family", "gb", "--theta", "0.05", "--vartheta", "0.3",
+            "--G", "24", "--s", "3", "--n", "1000", "--seed", "1",
+        ],
+        "fit": ["fit", str(simulate_csv(tmp_path, n=10_000))] + sample_flags,
+        "test": ["test", str(simulate_csv(tmp_path, n=10_000))] + sample_flags,
+        "mc": MC_FLAGS,
+        "scan": SCAN_FLAGS,
+    }[command]
+    out = tmp_path / "missing_dir" / "out.txt"
+    capsys.readouterr()
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert not out.parent.exists()

@@ -1,6 +1,7 @@
 """Latent draws, truncation, and the simulated observable sample."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,7 +21,9 @@ from truncdep import (
     profile_n,
     simulate_truncated,
 )
-from truncdep.sampling import _draw_latent_arrays, _in_region
+from truncdep.sampling import _BLOCK, _draw_latent_arrays, _in_region
+
+from oracles import whole_array_latent
 
 GB = CopulaFamily.GUMBEL_BARNETT
 FGM = CopulaFamily.FGM
@@ -178,6 +181,41 @@ def test_latent_stream_takes_two_uniforms_per_unit(params):
     x9, t9 = _draw_latent_arrays(params, DESIGN, 9, np.random.default_rng(7))
     assert x1.tolist() + x8.tolist() == x9.tolist()
     assert t1.tolist() + t8.tolist() == t9.tolist()
+
+
+@pytest.mark.parametrize(
+    "family,vt",
+    [(GB, 0.0), (GB, 0.01), (GB, 0.3), (GB, 0.999), (FGM, -0.9), (FGM, 0.1), (FGM, 0.9)],
+)
+def test_blocked_latent_draw_matches_the_whole_array_draw(family, vt):
+    # sizes around one block and several blocks, with and without a partial last block
+    params = ModelParams(family, 0.0817, vt)
+    designs = [StudyDesign(24.0, 3.0), StudyDesign(24.0, 48.0), StudyDesign(24.0, 0.01)]
+    for n in [1, 7, _BLOCK - 1, _BLOCK, _BLOCK + 1, 200_001, 1_000_000]:
+        x_ref, t_ref = whole_array_latent(params, DESIGN, n, np.random.default_rng(n))
+        x, t = _draw_latent_arrays(params, DESIGN, n, np.random.default_rng(n))
+        assert x.base is t.base and x.base.shape == (n, 2)
+        assert x.tobytes() == x_ref.tobytes()
+        assert t.tobytes() == t_ref.tobytes()
+        for design in designs:
+            keep = _in_region(x_ref, t_ref, design)
+            sample = simulate_truncated(params, design, n, np.random.default_rng(n))
+            assert sample.x_arr.tobytes() == x_ref[keep].tobytes()
+            assert sample.t_arr.tobytes() == t_ref[keep].tobytes()
+
+
+@pytest.mark.parametrize("family,vt", [(FGM, 0.1), (GB, 0.3), (GB, 0.0)])
+def test_simulate_holds_the_draw_plus_one_block(family, vt):
+    # The (n, 2) buffer is 15.3 MiB at n = 1e6 and the region test adds
+    # about 9 MiB; a whole-array transform peaked at 38-125 MiB here.
+    params = ModelParams(family, 0.0817, vt)
+    tracemalloc.start()
+    try:
+        simulate_truncated(params, DESIGN, 1_000_000, np.random.default_rng(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 @pytest.mark.parametrize(
